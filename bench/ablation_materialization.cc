@@ -40,9 +40,7 @@ int main() {
     std::cerr << dag.status().ToString() << "\n";
     return 1;
   }
-  core::SystemOptions options;
-  options.enable_resolution_cache = false;  // Isolate the comparison.
-  core::AccessControlSystem system(std::move(dag).value(), options);
+  core::AccessControlSystem system(std::move(dag).value());
 
   // 24 objects x 2 rights, each with explicit labels on ~0.7% of edges.
   constexpr size_t kObjects = 24;
@@ -167,8 +165,8 @@ int main() {
       "a naive rebuild per\nexplicit-matrix change is ruinous, though "
       "column-scoped incremental\nmaintenance (EffectiveMatrix::Refresh) "
       "recovers most of it. The on-demand\nalgorithm (with the "
-      "epoch-validated cache, see ablation_cache) never pays\nmore than "
-      "the touched entries.\n",
+      "epoch snapshot's decision table, see ablation_cache)\nnever pays "
+      "more than the touched entries.\n",
       granted_lookup);
   ucr::bench_obs::EmitMetricsSnapshot("ablation_materialization");
   return 0;

@@ -4,9 +4,10 @@
 // Sections (one "JSON " line each, for BENCH_durability.json;
 // tools/bench_trend.py hard-gates the summary):
 //
-//   churn_baseline     bench/mutation_churn's incremental workload —
-//                      hot-set queries with one membership toggle per
-//                      100 queries — applied purely in memory.
+//   churn_baseline     the membership-churn workload — hot-set
+//                      queries on the facade with one membership
+//                      toggle per 100 queries — applied purely in
+//                      memory.
 //   churn_wal_relaxed  the same stream with every toggle logged
 //                      through PersistentSystem::Apply under relaxed
 //                      group commit (ordered, checksummed appends; no
@@ -52,8 +53,8 @@ using namespace ucr;  // NOLINT(build/namespaces): benchmark brevity.
 
 constexpr size_t kQueriesPerMutation = 100;
 
-// The mutation_churn hierarchy + label columns, verbatim, so the
-// baseline row here tracks that benchmark's incremental section.
+// The published-shape enterprise hierarchy plus six label columns, the
+// churn workload's fixed input (seeded, so rows compare across runs).
 core::AccessControlSystem MakeChurnSystem(uint64_t seed) {
   Random rng(seed);
   workload::EnterpriseOptions shape;  // Defaults = published shape stats.

@@ -185,9 +185,7 @@ BENCHMARK(BM_ExplainAccess)->Arg(400);
 
 void BM_CheckAccessBatchThreads(benchmark::State& state) {
   Fixture f = MakeEnterprise(400);
-  core::SystemOptions options;
-  options.enable_resolution_cache = false;  // Measure raw resolution.
-  core::AccessControlSystem system(std::move(f.dag), options);
+  core::AccessControlSystem system(std::move(f.dag));
   // Replay the fixture's labels through the facade.
   for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
     if (f.labels[v].has_value()) {

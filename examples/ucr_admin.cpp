@@ -392,12 +392,9 @@ int Top(const std::string& target, bool once) {
            << (once ? "single shot" : "refreshing 1s, Ctrl-C quits") << "\n\n"
            << "  qps          " << JsonNumber(body, "qps") << "\n"
            << "  p99          resolve " << FormatNs(JsonNumber(body, "resolve_p99_ns"))
-           << "   system " << FormatNs(JsonNumber(body, "system_p99_ns"))
            << "   snapshot " << FormatNs(JsonNumber(body, "snapshot_p99_ns"))
-           << "   batch " << FormatNs(JsonNumber(body, "batch_p99_ns")) << "\n"
-           << "  cache hits   resolution "
-           << JsonNumber(body, "resolution_cache_hit_rate") * 100.0
-           << "%   snapshot "
+           << "\n"
+           << "  table hits   snapshot "
            << JsonNumber(body, "snapshot_cache_hit_rate") * 100.0 << "%\n"
            << "  epoch        publish " << JsonNumber(body, "epoch_publish_rate")
            << "/s   lag " << JsonNumber(body, "epoch_lag") << "\n"

@@ -1,15 +1,7 @@
 #include "core/batch_resolver.h"
 
-#include <optional>
-
-#include "core/flat_propagate.h"
-#include "core/resolve.h"
-#include "core/rights_bag.h"
-#include "graph/ancestor_subgraph.h"
-#include "graph/scratch_subgraph.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/shadow.h"
 #include "obs/trace.h"
 
 namespace ucr::core {
@@ -22,200 +14,21 @@ BatchResolverOptions Clamped(BatchResolverOptions options) {
   return options;
 }
 
-/// Serving-path telemetry (DESIGN.md §8): per-query counters/latency
-/// for the batch engine, distinct from the uncached ResolveAccess
-/// family so dashboards can separate cold derivations from served
-/// traffic. Lock-free, allocation-free recording.
-struct BatchMetrics {
-  obs::Counter& queries = obs::Registry::Global().GetCounter(
-      "ucr_batch_queries_total", "Queries answered by BatchResolver");
-  obs::Counter& batches = obs::Registry::Global().GetCounter(
+/// Batch telemetry (DESIGN.md §8). Per-query counters, latency, and
+/// traces are the snapshot path's own (`ucr_snapshot_*`): every batch
+/// query is one SnapshotResolveAccess call.
+obs::Counter& BatchesCounter() {
+  static obs::Counter& batches = obs::Registry::Global().GetCounter(
       "ucr_batch_batches_total", "ResolveBatch invocations");
-  obs::Histogram& latency = obs::Registry::Global().GetHistogram(
-      "ucr_batch_query_latency_ns",
-      "Per-query latency inside ResolveBatch, cache hits included (ns)");
-};
-
-BatchMetrics& GetBatchMetrics() {
-  static BatchMetrics* metrics = new BatchMetrics();
-  return *metrics;
-}
-
-/// Trace record for a batch query: identical Fig. 4 payload to the
-/// ResolveAccess tracer, plus the cache interactions. A resolution
-/// cache hit records no stage spans and no Fig. 4 derivation of its
-/// own (the derivation happened when the entry was stored).
-[[gnu::noinline, gnu::cold]] void RecordBatchTrace(const BatchResolver::Query& query,
-                      const Strategy& canonical, bool fast_path,
-                      bool resolution_hit, bool subgraph_hit,
-                      uint64_t t_start, uint64_t t_propagate, uint64_t t_end,
-                      const ResolveTrace* trace, acm::Mode mode,
-                      const obs::PhaseBreakdown& phases) {
-  obs::QueryTraceRecord record;
-  record.subject = query.subject;
-  record.object = query.object;
-  record.right = query.right;
-  record.strategy_index = canonical.CanonicalIndex();
-  record.fast_path = fast_path;
-  record.resolution_cache_hit = resolution_hit;
-  record.subgraph_cache_hit = subgraph_hit;
-  if (!resolution_hit) {
-    // Extraction and propagation are fused in the batch engine (the
-    // flat kernel pulls from the sub-graph cache internally), so the
-    // pipeline splits into propagate (Steps 1-3) and resolve (Step 4).
-    record.propagate_ns = t_propagate - t_start;
-    record.resolve_ns = t_end - t_propagate;
-  }
-  record.total_ns = t_end - t_start;
-  record.phases = phases;
-  if (trace != nullptr) {
-    record.has_majority = trace->c1.has_value();
-    record.c1 = trace->c1.value_or(0);
-    record.c2 = trace->c2.value_or(0);
-    record.auth_computed = trace->auth_computed;
-    record.auth_has_positive = trace->auth_has_positive;
-    record.auth_has_negative = trace->auth_has_negative;
-    record.returned_line = trace->returned_line;
-  }
-  record.granted = mode == acm::Mode::kPositive;
-  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
-  // Exemplar: link this sample's tail-latency bucket to its trace so
-  // /tracez can recover the full Fig. 4 derivation.
-  GetBatchMetrics().latency.RecordExemplar(record.total_ns, sequence,
-                                           query.subject, query.object,
-                                           query.right);
+  return batches;
 }
 }  // namespace
 
-BatchResolver::BatchResolver(const graph::Dag& dag,
-                             const acm::ExplicitAcm& eacm,
-                             BatchResolverOptions options)
-    : dag_(&dag),
-      eacm_(&eacm),
-      options_(Clamped(options)),
-      pool_(PoolWorkers(options_.threads)) {}
-
-BatchResolver::BatchResolver(const AccessControlSystem& system, size_t threads)
-    : BatchResolver(system.dag(), system.eacm(), [&] {
-        BatchResolverOptions options;
-        options.threads = threads;
-        options.propagation_mode = system.propagation_mode();
-        return options;
-      }()) {}
-
 BatchResolver::BatchResolver(const HierarchySnapshot& snapshot,
                              BatchResolverOptions options)
-    : BatchResolver(snapshot.dag, snapshot.eacm, [&] {
-        // The snapshot's mode wins: its carried decisions and cached
-        // sub-graphs were derived under it, and mixing modes within
-        // one epoch would silently change semantics.
-        options.propagation_mode = snapshot.propagation_mode;
-        return options;
-      }()) {}
-
-acm::Mode BatchResolver::ResolveOne(const Query& query,
-                                    const Strategy& canonical) {
-  // Per-query telemetry mirrors ResolveAccess: unsampled queries pay
-  // one countdown and one counter increment; clock reads, the latency
-  // histogram, and the Fig. 4 trace fire only for sampled queries.
-  const bool sampled = obs::QueryTracer::ShouldSample();
-  const uint64_t t_start = sampled ? obs::NowNs() : 0;
-  // Phase-attribution owner scope (DESIGN.md §14).
-  obs::ScopedPhaseCollection phase_scope(sampled);
-
-  // Mirrors AccessControlSystem::CheckAccess step for step; decisions
-  // are deterministic, so sharing them across threads is sound.
-  const uint64_t column_epoch = eacm_->ColumnEpoch(query.object, query.right);
-  if (options_.enable_resolution_cache) {
-    const std::optional<acm::Mode> cached =
-        resolution_cache_.Lookup(query.subject, query.object, query.right,
-                                 canonical, column_epoch);
-    if (cached.has_value()) {
-      if constexpr (obs::kEnabled) {
-        GetBatchMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetBatchMetrics().latency.Observe(t_end - t_start);
-          RecordBatchTrace(query, canonical, options_.use_fast_path,
-                           /*resolution_hit=*/true, /*subgraph_hit=*/false,
-                           t_start, t_start, t_end, nullptr, *cached,
-                           phase_scope.Snapshot());
-        }
-      }
-      return *cached;
-    }
-  }
-
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = options_.propagation_mode;
-
-  acm::Mode mode;
-  bool subgraph_hit = false;
-  uint64_t t_propagate = 0;
-  // Shadow verification (DESIGN.md §9) only covers the fast engine —
-  // re-resolving the classic engine with itself proves nothing — and
-  // needs the Fig. 4 trace for the bit-for-bit comparison.
-  const bool shadowed =
-      options_.use_fast_path && obs::ShadowVerifier::ShouldShadow();
-  ResolveTrace sampled_trace;
-  ResolveTrace* trace_out =
-      sampled || shadowed ? &sampled_trace : nullptr;
-  if (options_.use_fast_path) {
-    // Allocation-free hot path (DESIGN.md §7). With the sub-graph
-    // cache on, the flat kernel propagates over the shared cached
-    // sub-graph; without it, over an ephemeral scratch-arena view.
-    HotPath& hot = HotPath::ThreadLocal();
-    hot.propagator.SetLabels(eacm_->Column(query.object, query.right),
-                             dag_->node_count());
-    std::span<const RightsEntry> sink_bag;
-    if (options_.enable_subgraph_cache) {
-      sink_bag = hot.propagator.PropagateSink(
-          subgraph_cache_.Get(*dag_, query.subject, &subgraph_hit),
-          prop_options);
-    } else {
-      const graph::ScratchSubgraphView view =
-          hot.scratch.Extract(*dag_, query.subject);
-      sink_bag = hot.propagator.PropagateSink(view, prop_options);
-    }
-    t_propagate = sampled ? obs::NowNs() : 0;
-    mode = ResolveEntries(sink_bag, canonical, trace_out);
-  } else {
-    const std::vector<std::optional<acm::Mode>> labels =
-        eacm_->ExtractLabels(dag_->node_count(), query.object, query.right);
-    RightsBag all_rights;
-    if (options_.enable_subgraph_cache) {
-      all_rights = PropagateAggregated(
-          subgraph_cache_.Get(*dag_, query.subject, &subgraph_hit), labels,
-          prop_options);
-    } else {
-      const graph::AncestorSubgraph sub(*dag_, query.subject);
-      all_rights = PropagateAggregated(sub, labels, prop_options);
-    }
-    t_propagate = sampled ? obs::NowNs() : 0;
-    mode = Resolve(all_rights, canonical, trace_out);
-  }
-  if (options_.enable_resolution_cache) {
-    resolution_cache_.Store(query.subject, query.object, query.right,
-                            canonical, column_epoch, mode);
-  }
-  if constexpr (obs::kEnabled) {
-    GetBatchMetrics().queries.Inc();
-    if (sampled) [[unlikely]] {
-      const uint64_t t_end = obs::NowNs();
-      GetBatchMetrics().latency.Observe(t_end - t_start);
-      RecordBatchTrace(query, canonical, options_.use_fast_path,
-                       /*resolution_hit=*/false, subgraph_hit, t_start,
-                       t_propagate, t_end, trace_out, mode,
-                       phase_scope.Snapshot());
-    }
-    if (shadowed) [[unlikely]] {
-      ShadowVerifyDecision(*dag_, *eacm_, query.subject, query.object,
-                           query.right, canonical, prop_options, mode,
-                           *trace_out);
-    }
-  }
-  return mode;
-}
+    : snapshot_(&snapshot),
+      options_(Clamped(options)),
+      pool_(PoolWorkers(options_.threads)) {}
 
 StatusOr<std::vector<acm::Mode>> BatchResolver::ResolveBatch(
     std::span<const Query> queries, const Strategy& strategy) {
@@ -227,14 +40,14 @@ StatusOr<std::vector<acm::Mode>> BatchResolver::ResolveBatch(
   const bool sampled = obs::QueryTracer::ShouldSample();
   const uint64_t t_assemble = sampled ? obs::NowNs() : 0;
   for (const Query& q : queries) {
-    if (q.subject >= dag_->node_count() ||
-        q.object >= eacm_->object_count() ||
-        q.right >= eacm_->right_count()) {
+    if (q.subject >= snapshot_->dag.node_count() ||
+        q.object >= snapshot_->eacm.object_count() ||
+        q.right >= snapshot_->eacm.right_count()) {
       return Status::OutOfRange("batch query references unknown ids");
     }
   }
   const Strategy canonical = strategy.Canonical();
-  if constexpr (obs::kEnabled) GetBatchMetrics().batches.Inc();
+  if constexpr (obs::kEnabled) BatchesCounter().Inc();
   std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
   if constexpr (obs::kEnabled) {
     if (sampled) [[unlikely]] {
@@ -246,21 +59,12 @@ StatusOr<std::vector<acm::Mode>> BatchResolver::ResolveBatch(
     }
   }
   pool_.ParallelFor(0, queries.size(), [&](size_t i) {
-    results[i] = ResolveOne(queries[i], canonical);
+    // Ids were validated above, so the snapshot path cannot fail.
+    results[i] = *SnapshotResolveAccess(*snapshot_, queries[i].subject,
+                                        queries[i].object, queries[i].right,
+                                        canonical);
   });
   return results;
-}
-
-size_t BatchResolver::InvalidateSubjects(
-    std::span<const graph::NodeId> affected) {
-  std::vector<uint8_t> bitmap(dag_->node_count(), 0);
-  for (graph::NodeId v : affected) {
-    if (v < bitmap.size()) bitmap[v] = 1;
-  }
-  size_t dropped = 0;
-  dropped += resolution_cache_.EraseSubjects(bitmap);
-  dropped += subgraph_cache_.EraseSubjects(bitmap);
-  return dropped;
 }
 
 }  // namespace ucr::core

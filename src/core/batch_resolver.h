@@ -4,14 +4,10 @@
 #include <span>
 #include <vector>
 
-#include "acm/acm.h"
 #include "acm/mode.h"
-#include "core/propagate.h"
-#include "core/sharded_cache.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
-#include "graph/dag.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -23,72 +19,30 @@ struct BatchResolverOptions {
   /// calling thread. 0 and 1 both mean "resolve inline". Clamped to
   /// `std::thread::hardware_concurrency()` at construction.
   size_t threads = 1;
-
-  /// Resolve cache misses through the per-thread allocation-free hot
-  /// path (scratch arena + flat propagation + streaming resolve;
-  /// DESIGN.md §7). Decisions are bit-identical to the classic
-  /// engines; disable to force the classic path as a differential
-  /// oracle.
-  bool use_fast_path = true;
-
-  /// Share derived decisions across workers (sharded, epoch-guarded).
-  bool enable_resolution_cache = true;
-
-  /// Share extracted ancestor sub-graphs across workers.
-  bool enable_subgraph_cache = true;
-
-  /// Propagation extension mode applied to every query.
-  PropagationMode propagation_mode = PropagationMode::kBoth;
 };
 
-/// \brief Multi-threaded batch query evaluation over one system's
-/// immutable inputs — the serving-path counterpart of
-/// `AccessControlSystem::CheckAccess`.
+/// \brief Multi-threaded batch query evaluation over one pinned
+/// epoch snapshot (DESIGN.md §11) — the batch counterpart of
+/// `AccessControlSystem::CheckAccessSnapshot`.
 ///
-/// Where `CheckAccessBatch`'s parallel path resolves every query from
-/// scratch (the facade's caches are unsynchronized), a `BatchResolver`
-/// owns *sharded, thread-safe* caches, so its workers share warm
-/// sub-graphs and decisions exactly like the serial facade does — and
-/// the caches stay warm across batches, which is what a long-running
-/// server wants. Decisions are deterministic, therefore bit-identical
-/// to the serial engine's for any thread count (the differential tests
-/// assert this for all 48 strategies).
+/// Every query runs `SnapshotResolveAccess` against the bound
+/// snapshot, so the workers share the snapshot's lock-free decision
+/// and sub-graph tables: a decision one worker derives is a table hit
+/// for every other worker and for every later batch over the same
+/// epoch. Decisions are deterministic, therefore bit-identical to the
+/// serial engines' for any thread count (the differential tests assert
+/// this for all 48 strategies).
 ///
-/// The resolver holds const references to the hierarchy and explicit
-/// matrix: both must outlive it and must not be mutated while a batch
-/// is in flight. Mutations *between* batches are safe — resolution
-/// entries are epoch-guarded per column and lapse on their own for
-/// rights edits, and a hierarchy edit's affected set (the out-param of
-/// `AccessControlSystem::AddMembership`/`RemoveMembership`/
-/// `ApplyMutations`) must be forwarded to `InvalidateSubjects` before
-/// the next batch so stale sub-graphs and decisions are dropped
-/// (DESIGN.md §10).
+/// The caller must hold a `SnapshotManager::ReadPin` on the snapshot
+/// (or otherwise own it) for the resolver's whole lifetime. A snapshot
+/// never mutates, so nothing the resolver reads can go stale; to see
+/// later edits, bind a new resolver to a newer epoch.
 class BatchResolver {
  public:
   using Query = AccessControlSystem::AccessQuery;
 
-  BatchResolver(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
-                BatchResolverOptions options = {});
-
-  /// Convenience: binds to `system`'s hierarchy, matrix, and
-  /// propagation mode, so decisions match `system.CheckAccess`.
-  BatchResolver(const AccessControlSystem& system, size_t threads);
-
-  /// \brief Binds to an epoch-published snapshot (DESIGN.md §11): the
-  /// resolver reads `snapshot`'s immutable hierarchy, matrix, and
-  /// propagation mode, so decisions match
-  /// `AccessControlSystem::CheckAccessSnapshot` against that epoch.
-  ///
-  /// The caller must hold a `SnapshotManager::ReadPin` on the snapshot
-  /// for the resolver's whole lifetime — the pin is what keeps the
-  /// epoch's storage alive past subsequent publications. In exchange
-  /// the §10 maintenance contract disappears: a snapshot never
-  /// mutates, so `InvalidateSubjects` is never needed and the caches
-  /// stay valid forever. `options.propagation_mode` is overridden by
-  /// the snapshot's own mode (a snapshot decision is only meaningful
-  /// under the mode it was published with).
-  BatchResolver(const HierarchySnapshot& snapshot,
-                BatchResolverOptions options = {});
+  explicit BatchResolver(const HierarchySnapshot& snapshot,
+                         BatchResolverOptions options = {});
 
   /// \brief Resolves every query under `strategy`. Results align
   /// positionally with `queries`.
@@ -98,31 +52,11 @@ class BatchResolver {
   StatusOr<std::vector<acm::Mode>> ResolveBatch(
       std::span<const Query> queries, const Strategy& strategy);
 
-  /// \brief Reachability-scoped invalidation after a hierarchy edit:
-  /// drops the cached sub-graphs and decisions of exactly the subjects
-  /// in `affected` (the edit's affected set, as reported by the
-  /// system's mutation API). Must not run concurrently with
-  /// `ResolveBatch`. Returns the number of entries dropped.
-  size_t InvalidateSubjects(std::span<const graph::NodeId> affected);
-
-  /// Cache observability (exact between batches).
-  const ShardedResolutionCache& resolution_cache() const {
-    return resolution_cache_;
-  }
-  const ShardedSubgraphCache& subgraph_cache() const {
-    return subgraph_cache_;
-  }
-
   size_t threads() const { return options_.threads; }
 
  private:
-  acm::Mode ResolveOne(const Query& query, const Strategy& canonical);
-
-  const graph::Dag* dag_;
-  const acm::ExplicitAcm* eacm_;
+  const HierarchySnapshot* snapshot_;
   BatchResolverOptions options_;
-  ShardedResolutionCache resolution_cache_;
-  ShardedSubgraphCache subgraph_cache_;
   ThreadPool pool_;
 };
 

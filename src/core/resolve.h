@@ -144,7 +144,8 @@ StatusOr<acm::Mode> ResolveAccess(
 /// (`ucr_shadow_mismatch_total`), retained in the mismatch dump, and
 /// emitted as an audit event carrying both derivations.
 ///
-/// Called by `ResolveAccess`/`BatchResolver` for queries selected by
+/// Called by `ResolveAccess`/`SnapshotResolveAccess` for queries
+/// (snapshot: table misses) selected by
 /// `obs::ShadowVerifier::ShouldShadow()`. Cold path; its heap traffic
 /// runs under an allocation-exclusion scope, so the hot path's
 /// 0-allocs/query bound refers to unshadowed queries.

@@ -8,6 +8,7 @@
 #include "core/flat_propagate.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/shadow.h"
 #include "obs/trace.h"
 
 namespace ucr::core {
@@ -403,6 +404,7 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
   HotPath& hot = HotPath::ThreadLocal();
 
   std::span<const RightsEntry> sink_bag;
+  bool indexed = false;
   bool subgraph_hit = false;
   uint64_t t_extract = 0;
   uint64_t t_propagate = 0;
@@ -424,6 +426,7 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
                                      right, snapshot.propagation_mode);
     t_extract = sampled ? obs::NowNs() : 0;
     t_propagate = t_extract;
+    indexed = true;
     if constexpr (obs::kEnabled) GetSnapshotMetrics().indexed.Inc();
   } else if (options.use_subgraph_table) {
     hot.propagator.SetLabels(snapshot.eacm.Column(object, right),
@@ -452,9 +455,14 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
   }
   t_propagate = sampled ? obs::NowNs() : 0;
 
+  // Shadow verification (DESIGN.md §9) re-derives this miss with the
+  // classic engines and compares the Fig. 4 trace bit for bit, so a
+  // shadowed query also fills the stack-local trace.
+  const bool shadowed = obs::ShadowVerifier::ShouldShadow();
   ResolveTrace sampled_trace;
   ResolveTrace* trace_out =
-      trace != nullptr ? trace : (sampled ? &sampled_trace : nullptr);
+      trace != nullptr ? trace
+                       : (sampled || shadowed ? &sampled_trace : nullptr);
   const acm::Mode mode = ResolveEntries(sink_bag, canonical, trace_out);
 
   if (options.use_resolution_table && !want_derivation) {
@@ -469,6 +477,11 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
                           /*resolution_hit=*/false, subgraph_hit, t_start,
                           t_extract, t_propagate, t_end, trace_out, mode,
                           phase_scope.Snapshot());
+    }
+    if (shadowed) [[unlikely]] {
+      ShadowVerifyDecision(snapshot.dag, snapshot.eacm, subject, object,
+                           right, canonical, prop_options, mode, *trace_out,
+                           indexed ? sink_bag.size() : SIZE_MAX);
     }
   }
   return mode;

@@ -369,6 +369,8 @@ struct SnapshotReadOptions {
 /// asserts this for all 48 strategies). Steady state acquires no locks
 /// and performs no heap allocations: table hits are two atomic loads,
 /// misses run the PR 2 hot path and publish the result with one CAS.
+/// Misses selected by `obs::ShadowVerifier::ShouldShadow()` are
+/// re-resolved by the classic oracle (`ShadowVerifyDecision`).
 StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
                                           graph::NodeId subject,
                                           acm::ObjectId object,

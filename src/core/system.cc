@@ -5,10 +5,9 @@
 #include <optional>
 
 #include "core/propagate.h"
+#include "graph/ancestor_subgraph.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace ucr::core {
@@ -16,16 +15,13 @@ namespace ucr::core {
 namespace {
 
 /// Front-door telemetry (DESIGN.md §8): CheckAccess is the serving
-/// entry point of the installed system (the cached, single-threaded
-/// path behind CheckAccessByName and the admin CLI), distinct from the
-/// uncached ResolveAccess family and the batch engine.
+/// entry point of the master state (behind CheckAccessByName and the
+/// admin CLI). Latency, the sampled Fig. 4 trace and its exemplar are
+/// recorded by the ResolveAccess call it delegates to.
 struct SystemMetrics {
   obs::Counter& queries = obs::Registry::Global().GetCounter(
       "ucr_system_queries_total",
       "Queries answered by AccessControlSystem::CheckAccess");
-  obs::Histogram& latency = obs::Registry::Global().GetHistogram(
-      "ucr_system_query_latency_ns",
-      "CheckAccess latency, cache hits included (ns)");
 };
 
 SystemMetrics& GetSystemMetrics() {
@@ -34,63 +30,19 @@ SystemMetrics& GetSystemMetrics() {
 }
 
 /// Write-path telemetry (DESIGN.md §10): hierarchy-edit volume and the
-/// cost of each edit in affected subjects and dropped cache entries —
-/// the two numbers that show reachability-scoped invalidation beating
-/// the wholesale clears it replaced.
+/// reach of each edit in affected subjects.
 struct MutationMetrics {
   obs::Counter& mutations = obs::Registry::Global().GetCounter(
       "ucr_mutations_total",
       "Hierarchy mutations applied (membership edge inserts/removals)");
-  obs::Counter& invalidated = obs::Registry::Global().GetCounter(
-      "ucr_invalidated_entries_total",
-      "Cache entries dropped by hierarchy-edit invalidation sweeps");
   obs::Histogram& affected_subjects = obs::Registry::Global().GetHistogram(
       "ucr_mutation_affected_subjects",
-      "Affected-set size per invalidation sweep (subjects)");
+      "Affected-set size per membership edit (subjects)");
 };
 
 MutationMetrics& GetMutationMetrics() {
   static MutationMetrics* metrics = new MutationMetrics();
   return *metrics;
-}
-
-/// Same Fig. 4 payload as the ResolveAccess/BatchResolver tracers; a
-/// resolution cache hit records no derivation of its own.
-[[gnu::noinline, gnu::cold]] void RecordSystemTrace(graph::NodeId subject, acm::ObjectId object,
-                       acm::RightId right, const Strategy& canonical,
-                       bool resolution_hit, bool subgraph_hit,
-                       uint64_t t_start, uint64_t t_propagate, uint64_t t_end,
-                       const ResolveTrace* trace, acm::Mode mode,
-                       const obs::PhaseBreakdown& phases) {
-  obs::QueryTraceRecord record;
-  record.subject = subject;
-  record.object = object;
-  record.right = right;
-  record.strategy_index = canonical.CanonicalIndex();
-  record.fast_path = false;  // CheckAccess runs the classic cached path.
-  record.resolution_cache_hit = resolution_hit;
-  record.subgraph_cache_hit = subgraph_hit;
-  if (!resolution_hit) {
-    record.propagate_ns = t_propagate - t_start;
-    record.resolve_ns = t_end - t_propagate;
-  }
-  record.total_ns = t_end - t_start;
-  record.phases = phases;
-  if (trace != nullptr) {
-    record.has_majority = trace->c1.has_value();
-    record.c1 = trace->c1.value_or(0);
-    record.c2 = trace->c2.value_or(0);
-    record.auth_computed = trace->auth_computed;
-    record.auth_has_positive = trace->auth_has_positive;
-    record.auth_has_negative = trace->auth_has_negative;
-    record.returned_line = trace->returned_line;
-  }
-  record.granted = mode == acm::Mode::kPositive;
-  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
-  // Exemplar: link this sample's tail-latency bucket to its trace so
-  // /tracez can recover the full Fig. 4 derivation.
-  GetSystemMetrics().latency.RecordExemplar(record.total_ns, sequence,
-                                            subject, object, right);
 }
 
 /// Audit hook for the named administrative operations (DESIGN.md §9).
@@ -137,19 +89,25 @@ class [[nodiscard]] WriterGuard {
   std::mutex* mu_;
 };
 
+/// The engine options every facade query resolves under.
+ResolveAccessOptions FacadeResolveOptions(const SystemOptions& options) {
+  ResolveAccessOptions resolve_options;
+  resolve_options.propagation_mode = options.propagation_mode;
+  resolve_options.use_reachability_index = options.use_reachability_index;
+  return resolve_options;
+}
+
 }  // namespace
 
 AccessControlSystem::AccessControlSystem(graph::Dag dag, SystemOptions options)
     : dag_(std::move(dag)), options_(options) {
   options_.default_strategy = options_.default_strategy.Canonical();
-  if (options_.enable_snapshot_reads) EnableSnapshotReads();
 }
 
 AccessControlSystem::AccessControlSystem(graph::Dag dag, acm::ExplicitAcm eacm,
                                          SystemOptions options)
     : dag_(std::move(dag)), eacm_(std::move(eacm)), options_(options) {
   options_.default_strategy = options_.default_strategy.Canonical();
-  if (options_.enable_snapshot_reads) EnableSnapshotReads();
 }
 
 const char* AccessControlSystem::MutationOpKindName(MutationOp::Kind kind) {
@@ -270,7 +228,10 @@ Status AccessControlSystem::MutateMembership(
     }
     UCR_RETURN_IF_ERROR(dag_.EraseEdge(p, c, &edit_affected));
   }
-  if constexpr (obs::kEnabled) GetMutationMetrics().mutations.Inc();
+  if constexpr (obs::kEnabled) {
+    GetMutationMetrics().mutations.Inc();
+    GetMutationMetrics().affected_subjects.Observe(edit_affected.size());
+  }
   if (obs::AuditLog::Enabled()) {
     // `value` carries the affected-set size: the audit trail shows how
     // far each reorg reached, not just that it happened.
@@ -288,28 +249,6 @@ Status AccessControlSystem::MutateMembership(
                      edit_affected.end());
   }
   return Status::OK();
-}
-
-size_t AccessControlSystem::InvalidateAffected(
-    const std::vector<graph::NodeId>& affected) {
-  size_t dropped = 0;
-  if (options_.incremental_hierarchy_updates) {
-    std::vector<uint8_t> bitmap(dag_.node_count(), 0);
-    for (graph::NodeId v : affected) bitmap[v] = 1;
-    dropped += resolution_cache_.EraseSubjects(bitmap);
-    dropped += subgraph_cache_.EraseSubjects(bitmap);
-  } else {
-    // Full-clear baseline: every warm entry is evicted, including the
-    // subjects this edit cannot have touched.
-    dropped += resolution_cache_.size() + subgraph_cache_.size();
-    subgraph_cache_.Clear();
-    resolution_cache_.Clear();
-  }
-  if constexpr (obs::kEnabled) {
-    GetMutationMetrics().invalidated.Inc(dropped);
-    GetMutationMetrics().affected_subjects.Observe(affected.size());
-  }
-  return dropped;
 }
 
 void AccessControlSystem::NoteRightsEdit(graph::NodeId subject) {
@@ -369,7 +308,6 @@ Status AccessControlSystem::AddMembership(
   std::vector<graph::NodeId> edit_affected;
   UCR_RETURN_IF_ERROR(MutateMembership(/*add=*/true, parent, child,
                                        &edit_affected));
-  InvalidateAffected(edit_affected);
   if (snapshot_state_ != nullptr) PublishSnapshotLocked();
   if (affected != nullptr) *affected = std::move(edit_affected);
   return Status::OK();
@@ -383,7 +321,6 @@ Status AccessControlSystem::RemoveMembership(
   std::vector<graph::NodeId> edit_affected;
   UCR_RETURN_IF_ERROR(MutateMembership(/*add=*/false, parent, child,
                                        &edit_affected));
-  InvalidateAffected(edit_affected);
   if (snapshot_state_ != nullptr) PublishSnapshotLocked();
   if (affected != nullptr) *affected = std::move(edit_affected);
   return Status::OK();
@@ -438,16 +375,15 @@ Status AccessControlSystem::ApplyMutations(std::span<const MutationOp> ops,
     ++applied;
     NoteMutationApplied();
   }
-  // One sweep over the union, even on early abort: the hierarchy edits
-  // that did apply must not leave stale cached state behind.
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
-  size_t dropped = 0;
-  if (!affected.empty()) dropped = InvalidateAffected(affected);
   // Publish even on early abort: the ops that did apply are master
   // state now, and the snapshot must converge to it.
-  if (snapshot_state_ != nullptr && applied > 0) PublishSnapshotLocked();
+  size_t dropped = 0;
+  if (snapshot_state_ != nullptr && applied > 0) {
+    dropped = PublishSnapshotLocked();
+  }
   if (stats != nullptr) {
     stats->applied = applied;
     stats->invalidated_entries = dropped;
@@ -520,105 +456,15 @@ StatusOr<acm::Mode> AccessControlSystem::CheckAccess(graph::NodeId subject,
   if (object >= eacm_.object_count() || right >= eacm_.right_count()) {
     return Status::OutOfRange("object/right id out of range");
   }
-  const Strategy canonical = strategy.Canonical();
-  const bool sampled = obs::QueryTracer::ShouldSample();
-  const uint64_t t_start = sampled ? obs::NowNs() : 0;
-  // Phase-attribution owner scope (DESIGN.md §14): the cache probes,
-  // composition, propagation, and resolve below attribute into it.
-  obs::ScopedPhaseCollection phase_scope(sampled);
-  // Cache entries are validated against the (object, right) column's
-  // own epoch, so edits to unrelated columns keep their cached
-  // decisions warm.
-  const uint64_t column_epoch = eacm_.ColumnEpoch(object, right);
-  if (options_.enable_resolution_cache) {
-    const std::optional<acm::Mode> cached = resolution_cache_.Lookup(
-        subject, object, right, canonical, column_epoch);
-    if (cached.has_value()) {
-      if constexpr (obs::kEnabled) {
-        GetSystemMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetSystemMetrics().latency.Observe(t_end - t_start);
-          RecordSystemTrace(subject, object, right, canonical,
-                            /*resolution_hit=*/true, /*subgraph_hit=*/false,
-                            t_start, t_start, t_end, nullptr, *cached,
-                            phase_scope.Snapshot());
-        }
-      }
-      return *cached;
-    }
-  }
-
-  // Indexed compose path (DESIGN.md §12): refresh the reachability
-  // index (coalescing any pending mutation dirt) and derive the sink
-  // bag from the subject's O(|label|) profile instead of extracting
-  // the ancestor sub-graph. Bit-identical decisions; falls through to
-  // the classic path when the index is unusable (kSecondWins, budget
-  // breach, option off).
-  if (options_.use_reachability_index) {
-    EnsureReachIndexCurrent();
-    ResolveAccessOptions reach_gate;
-    reach_gate.propagation_mode = options_.propagation_mode;
-    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_, reach_gate)) {
-      ResolveTrace sampled_trace;
-      const acm::Mode mode = ResolveEntries(
-          ComposeIndexedSinkBag(*reach_index_, subject, object, right,
-                                options_.propagation_mode),
-          canonical, sampled ? &sampled_trace : nullptr);
-      if (options_.enable_resolution_cache) {
-        resolution_cache_.Store(subject, object, right, canonical,
-                                column_epoch, mode);
-      }
-      if constexpr (obs::kEnabled) {
-        GetSystemMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetSystemMetrics().latency.Observe(t_end - t_start);
-          RecordSystemTrace(subject, object, right, canonical,
-                            /*resolution_hit=*/false, /*subgraph_hit=*/false,
-                            t_start, t_start, t_end, &sampled_trace, mode,
-                            phase_scope.Snapshot());
-        }
-      }
-      return mode;
-    }
-  }
-
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm_.ExtractLabels(dag_.node_count(), object, right);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = options_.propagation_mode;
-  RightsBag all_rights;
-  bool subgraph_hit = false;
-  if (options_.enable_subgraph_cache) {
-    const uint64_t hits_before = subgraph_cache_.hits();
-    all_rights = PropagateAggregated(subgraph_cache_.Get(dag_, subject),
-                                     labels, prop_options);
-    subgraph_hit = subgraph_cache_.hits() > hits_before;
-  } else {
-    const graph::AncestorSubgraph sub(dag_, subject);
-    all_rights = PropagateAggregated(sub, labels, prop_options);
-  }
-  const uint64_t t_propagate = sampled ? obs::NowNs() : 0;
-  ResolveTrace sampled_trace;
-  const acm::Mode mode =
-      Resolve(all_rights, canonical, sampled ? &sampled_trace : nullptr);
-  if (options_.enable_resolution_cache) {
-    resolution_cache_.Store(subject, object, right, canonical, column_epoch,
-                            mode);
-  }
-  if constexpr (obs::kEnabled) {
-    GetSystemMetrics().queries.Inc();
-    if (sampled) [[unlikely]] {
-      const uint64_t t_end = obs::NowNs();
-      GetSystemMetrics().latency.Observe(t_end - t_start);
-      RecordSystemTrace(subject, object, right, canonical,
-                        /*resolution_hit=*/false, subgraph_hit, t_start,
-                        t_propagate, t_end, &sampled_trace, mode,
-                        phase_scope.Snapshot());
-    }
-  }
-  return mode;
+  // Refresh the reachability index (coalescing any pending mutation
+  // dirt) so ResolveAccess composes the sink bag from it (DESIGN.md
+  // §12); it falls back to the fast path when the index is unusable
+  // (kSecondWins, budget breach, option off).
+  EnsureReachIndexCurrent();
+  if constexpr (obs::kEnabled) GetSystemMetrics().queries.Inc();
+  return ResolveAccess(dag_, eacm_, subject, object, right,
+                       strategy.Canonical(), FacadeResolveOptions(options_),
+                       nullptr, nullptr, reach_index_.get());
 }
 
 StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
@@ -634,26 +480,14 @@ StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
   std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
   if (queries.empty()) return results;
 
-  if (threads <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      UCR_ASSIGN_OR_RETURN(
-          results[i],
-          CheckAccess(queries[i].subject, queries[i].object,
-                      queries[i].right, strategy));
-    }
-    return results;
-  }
-
-  // Parallel path: const access to the hierarchy and matrix only. The
-  // calling thread participates, so the pool gets threads - 1 workers.
+  // Const access to the hierarchy and matrix only. The calling thread
+  // participates, so the pool gets threads - 1 workers (none: inline).
   // The reachability index is refreshed once up front — workers then
   // share the immutable generation (or fall back per ReachIndexUsable).
   const Strategy canonical = strategy.Canonical();
-  ResolveAccessOptions resolve_options;
-  resolve_options.propagation_mode = options_.propagation_mode;
-  resolve_options.use_reachability_index = options_.use_reachability_index;
+  const ResolveAccessOptions resolve_options = FacadeResolveOptions(options_);
   EnsureReachIndexCurrent();
-  ThreadPool pool(std::min(threads, queries.size()) - 1);
+  ThreadPool pool(threads <= 1 ? 0 : std::min(threads, queries.size()) - 1);
   std::mutex error_mu;
   Status first_error;
   pool.ParallelFor(0, queries.size(), [&](size_t i) {
@@ -686,9 +520,8 @@ AccessControlSystem::CheckAccessAllStrategies(graph::NodeId subject,
   // classic propagation would: the bag does not depend on the strategy.
   if (options_.use_reachability_index) {
     EnsureReachIndexCurrent();
-    ResolveAccessOptions reach_gate;
-    reach_gate.propagation_mode = options_.propagation_mode;
-    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_, reach_gate)) {
+    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_,
+                         FacadeResolveOptions(options_))) {
       const std::span<const RightsEntry> bag = ComposeIndexedSinkBag(
           *reach_index_, subject, object, right, options_.propagation_mode);
       std::vector<acm::Mode> out;
@@ -701,18 +534,10 @@ AccessControlSystem::CheckAccessAllStrategies(graph::NodeId subject,
   }
   const std::vector<std::optional<acm::Mode>> labels =
       eacm_.ExtractLabels(dag_.node_count(), object, right);
-  std::optional<graph::AncestorSubgraph> local_sub;
-  const graph::AncestorSubgraph* sub;
-  if (options_.enable_subgraph_cache) {
-    sub = &subgraph_cache_.Get(dag_, subject);
-  } else {
-    local_sub.emplace(dag_, subject);
-    sub = &*local_sub;
-  }
+  const graph::AncestorSubgraph sub(dag_, subject);
   PropagateOptions prop_options;
   prop_options.propagation_mode = options_.propagation_mode;
-  const RightsBag all_rights =
-      PropagateAggregated(*sub, labels, prop_options);
+  const RightsBag all_rights = PropagateAggregated(sub, labels, prop_options);
 
   std::vector<acm::Mode> out;
   out.reserve(AllStrategies().size());
@@ -763,7 +588,7 @@ void AccessControlSystem::NoteMutationApplied() {
   }
 }
 
-void AccessControlSystem::PublishSnapshotLocked() {
+size_t AccessControlSystem::PublishSnapshotLocked() {
   SnapshotState& state = *snapshot_state_;
   // The current snapshot is the carry-over source. The pin is not
   // strictly needed for safety — only Publish (below, same thread)
@@ -780,26 +605,15 @@ void AccessControlSystem::PublishSnapshotLocked() {
   // lock-free; refreshing here coalesces the batch's mutation dirt
   // into one incremental rebuild per publication.
   EnsureReachIndexCurrent();
+  SnapshotBuildStats build_stats;
   std::unique_ptr<const HierarchySnapshot> next = BuildSnapshot(
       dag_, eacm_, options_.default_strategy, options_.propagation_mode,
       state.manager.current_epoch() + 1, previous.get(),
-      state.resolution_capacity, reach_index_);
-  if (!previous) {
-    // First publication: warm the snapshot from the serial resolution
-    // cache so enabling snapshots on a hot system keeps its memo.
-    // Entries are validated against the live column epochs (the serial
-    // cache already dropped anything a hierarchy edit invalidated).
-    resolution_cache_.ForEach([&](graph::NodeId s, acm::ObjectId o,
-                                  acm::RightId r, uint8_t strategy,
-                                  uint64_t epoch, acm::Mode mode) {
-      if (epoch == eacm_.ColumnEpoch(o, r)) {
-        next->resolution.TryStore(s, o, r, strategy, mode);
-      }
-    });
-  }
+      state.resolution_capacity, reach_index_, &build_stats);
   state.manager.Publish(std::move(next));
   state.pending_mutations = 0;
   if constexpr (obs::kEnabled) EpochLagGauge().Set(0);
+  return build_stats.resolution_dropped;
 }
 
 StatusOr<acm::Mode> AccessControlSystem::CheckAccessSnapshot(

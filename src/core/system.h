@@ -10,7 +10,6 @@
 
 #include "acm/acm.h"
 #include "acm/mode.h"
-#include "core/cache.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
@@ -38,15 +37,6 @@ enum class GrantConflictPolicy : uint8_t {
 
 /// Options for `AccessControlSystem`.
 struct SystemOptions {
-  /// Memoize resolved decisions (invalidated on any explicit-matrix
-  /// change). The paper's future-work #1.
-  bool enable_resolution_cache = true;
-
-  /// Cache extracted ancestor sub-graphs. Hierarchy edits drop the
-  /// affected subjects' entries (DESIGN.md §10), so cached sub-graphs
-  /// are never stale.
-  bool enable_subgraph_cache = true;
-
   /// Strategy used when a query does not name one. Reconfiguring this
   /// at run time is the paper's headline capability: switching the
   /// enterprise's conflict-resolution strategy without reinstalling
@@ -56,20 +46,6 @@ struct SystemOptions {
   /// Propagation extension mode (paper future-work #3) applied by all
   /// of this system's queries and materializations.
   PropagationMode propagation_mode = PropagationMode::kBoth;
-
-  /// Scope hierarchy-edit cache invalidation to the affected subjects
-  /// (descendants of the edited child) instead of clearing both caches
-  /// wholesale (DESIGN.md §10). Off reproduces the full-clear write
-  /// path, kept as the baseline for bench/mutation_churn.
-  bool incremental_hierarchy_updates = true;
-
-  /// Publish epoch-pinned snapshots of the whole policy state so
-  /// queries can run on `CheckAccessSnapshot` completely lock-free
-  /// while mutators proceed concurrently (DESIGN.md §11). Every
-  /// successful mutator (or mutation batch) then builds and publishes
-  /// the next snapshot under the internal write lock. Equivalent to
-  /// calling `EnableSnapshotReads()` after construction.
-  bool enable_snapshot_reads = false;
 
   /// Behavior of `Grant`/`DenyAccess` (and batch grant/deny ops) when
   /// the triple already holds the opposite explicit mode.
@@ -123,15 +99,15 @@ class AccessControlSystem {
   /// which re-interns object/right names in entry order; a snapshot
   /// must instead preserve the saved intern order exactly (interned
   /// ids persist in WAL-adjacent state and in callers' hands), so this
-  /// path skips replay and takes the matrix as-is. Caches start cold;
-  /// the matrix's epoch history is its own.
+  /// path skips replay and takes the matrix as-is. The matrix's epoch
+  /// history is its own.
   /// (`options` is deliberately not defaulted: `{dag, {}}` must keep
   /// resolving to the plain constructor above.)
   AccessControlSystem(graph::Dag dag, acm::ExplicitAcm eacm,
                       SystemOptions options);
 
-  // Move-only: the caches reference internal state, and two live
-  // copies of one policy store invite divergence bugs.
+  // Move-only: two live copies of one policy store invite divergence
+  // bugs.
   AccessControlSystem(const AccessControlSystem&) = delete;
   AccessControlSystem& operator=(const AccessControlSystem&) = delete;
   AccessControlSystem(AccessControlSystem&&) = default;
@@ -150,10 +126,11 @@ class AccessControlSystem {
   /// The strategy used by queries that do not name one.
   const Strategy& strategy() const { return options_.default_strategy; }
 
-  /// Reconfigures the session strategy. Cached decisions keyed under
-  /// other strategies stay valid (the strategy is part of the key).
-  /// Audit-logged: a strategy change flips every decision the old
-  /// strategy and the new one disagree on, so the trail must show it.
+  /// Reconfigures the session strategy. Memoized snapshot decisions
+  /// keyed under other strategies stay valid (the strategy is part of
+  /// the key). Audit-logged: a strategy change flips every decision
+  /// the old strategy and the new one disagree on, so the trail must
+  /// show it.
   void SetStrategy(const Strategy& strategy);
 
   /// Grants `right` on `object` to `subject` explicitly.
@@ -181,7 +158,10 @@ class AccessControlSystem {
                                         std::string_view right,
                                         const Strategy& strategy);
 
-  /// Id-based query (fast path).
+  /// \brief Id-based query, resolved on the master state by
+  /// `ResolveAccess` over the current reachability index (refreshed
+  /// first). Nothing is memoized here: the one decision memo is the
+  /// published snapshot's table (`CheckAccessSnapshot`, DESIGN.md §11).
   StatusOr<acm::Mode> CheckAccess(graph::NodeId subject, acm::ObjectId object,
                                   acm::RightId right,
                                   const Strategy& strategy);
@@ -191,18 +171,18 @@ class AccessControlSystem {
   /// new (created on first mention). Fails if the edge would create a
   /// cycle or already exists; on failure the hierarchy is unchanged.
   ///
-  /// The edit is applied in place (no hierarchy rebuild) and cache
-  /// invalidation is scoped to the *affected set* — the edited child
-  /// and its descendants in the membership direction, the only
-  /// subjects whose ancestor sub-graphs the edit can change. Cached
-  /// state for every other subject survives (DESIGN.md §10). When
-  /// `affected` is non-null it receives the affected node ids, e.g.
-  /// to forward to `BatchResolver::InvalidateSubjects`.
+  /// The edit is applied in place (no hierarchy rebuild) and reports
+  /// its *affected set* — the edited child and its descendants in the
+  /// membership direction, the only subjects whose ancestor sub-graphs
+  /// the edit can change (DESIGN.md §10). The set scopes the next
+  /// incremental reachability rebuild, and the generation stamps behind
+  /// it scope the next snapshot's carry-over. When `affected` is
+  /// non-null it receives the affected node ids.
   Status AddMembership(std::string_view parent, std::string_view child,
                        std::vector<graph::NodeId>* affected = nullptr);
 
-  /// Removes a membership edge. Fails if absent. Invalidation is
-  /// scoped exactly like AddMembership. Subjects are never removed —
+  /// Removes a membership edge. Fails if absent. The affected set is
+  /// scoped exactly like AddMembership's. Subjects are never removed —
   /// a node that loses its last membership becomes a root.
   Status RemoveMembership(std::string_view parent, std::string_view child,
                           std::vector<graph::NodeId>* affected = nullptr);
@@ -254,13 +234,17 @@ class AccessControlSystem {
   static const char* MutationOpKindName(MutationOp::Kind kind);
 
   /// What a mutation batch did, for observability and for forwarding
-  /// the coalesced affected set to external caches.
+  /// the coalesced affected set to external consumers.
   struct MutationBatchStats {
     /// Sentinel for `failed_index`: every op applied.
     static constexpr size_t kNone = static_cast<size_t>(-1);
 
     size_t applied = 0;              ///< Ops executed successfully.
-    size_t invalidated_entries = 0;  ///< Cache entries dropped.
+    /// Decision-table entries of the previous snapshot that this
+    /// batch's publication did not carry over
+    /// (`SnapshotBuildStats::resolution_dropped`); 0 when snapshot
+    /// reads are off.
+    size_t invalidated_entries = 0;
     /// Index into the batch of the op that failed, or `kNone` when the
     /// whole batch applied. On failure `failed_index == applied`: the
     /// ops before it are master state, the rest were never attempted —
@@ -276,15 +260,14 @@ class AccessControlSystem {
   };
 
   /// \brief Applies a batch of mutations in order, coalescing the
-  /// hierarchy edits' affected sets into a single scoped invalidation
-  /// sweep at the end — a reorg touching one subtree N times pays one
-  /// sweep, not N.
+  /// hierarchy edits' affected sets into one reachability rebuild and
+  /// (with snapshot reads on) one snapshot publication at the end — a
+  /// reorg touching one subtree N times publishes once, not N times.
   ///
-  /// Rights edits (grant/deny/revoke) are column-scoped by the EACM
-  /// epochs and need no sweep. Stops at the first failing op (prior
-  /// ops stay applied — each op is individually atomic and the sweep
-  /// still covers them); no query may run between the failing batch
-  /// and the returned status being handled. A failure Status names the
+  /// Stops at the first failing op (prior ops stay applied — each op
+  /// is individually atomic and the publication still covers them); no
+  /// query may run between the failing batch and the returned status
+  /// being handled. A failure Status names the
   /// failing op's index and kind, and `stats->failed_index` carries the
   /// index so callers resume without parsing the message.
   Status ApplyMutations(std::span<const MutationOp> ops,
@@ -301,10 +284,9 @@ class AccessControlSystem {
   /// on several threads. Results align positionally with `queries`.
   ///
   /// The hierarchy and the explicit matrix are immutable during the
-  /// call, so multi-threaded execution is safe; it bypasses the
-  /// (unsynchronized) caches and resolves each query from scratch,
-  /// which still wins once the batch is large. `threads` = 0 or 1 runs
-  /// inline and uses the caches.
+  /// call, so multi-threaded execution is safe: every query resolves
+  /// like `CheckAccess`, over the reachability index refreshed once up
+  /// front. `threads` = 0 or 1 runs inline.
   StatusOr<std::vector<acm::Mode>> CheckAccessBatch(
       std::span<const AccessQuery> queries, const Strategy& strategy,
       size_t threads = 1);
@@ -322,10 +304,6 @@ class AccessControlSystem {
   StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
       acm::ObjectId object, acm::RightId right, const Strategy& strategy);
 
-  /// Cache observability.
-  const ResolutionCache& resolution_cache() const { return resolution_cache_; }
-  const SubgraphCache& subgraph_cache() const { return subgraph_cache_; }
-
   /// \brief The reachability index for the *current* master state,
   /// building or incrementally refreshing it first (DESIGN.md §12).
   ///
@@ -333,7 +311,7 @@ class AccessControlSystem {
   /// `ready() == false` after a budget breach — queries then fall back
   /// to classic extraction on their own. Primarily for tests, benches
   /// and exposition; queries refresh the index on demand themselves.
-  /// Not thread-safe (same contract as the caches/mutators).
+  /// Not thread-safe (same contract as `CheckAccess` and the mutators).
   const graph::ReachabilityIndex* reachability_index();
 
   // -- Epoch-pinned snapshot reads (DESIGN.md §11) -------------------
@@ -343,10 +321,9 @@ class AccessControlSystem {
   /// `HierarchySnapshot` and publishes it with one atomic swap, and
   /// `CheckAccessSnapshot` serves lock-free from the published one.
   ///
-  /// Publishes snapshot #1 immediately, warmed from the serial
-  /// resolution cache so an already-hot system does not restart cold.
-  /// Idempotent; not thread-safe against concurrent mutators (enable
-  /// before going concurrent, like any other configuration).
+  /// Publishes snapshot #1 immediately. Idempotent; not thread-safe
+  /// against concurrent mutators (enable before going concurrent, like
+  /// any other configuration).
   void EnableSnapshotReads();
 
   bool snapshot_reads_enabled() const { return snapshot_state_ != nullptr; }
@@ -408,24 +385,19 @@ class AccessControlSystem {
   /// Builds the next snapshot from the master state (carrying over
   /// what survives from the current one) and publishes it. Requires
   /// `snapshot_state_` non-null and `write_mu` held (single writer).
-  void PublishSnapshotLocked();
+  /// Returns the decision-table entries the new snapshot did not carry.
+  size_t PublishSnapshotLocked();
 
   /// Bumps the pending-mutation count / lag gauge after one applied
   /// op. No-op when snapshots are disabled.
   void NoteMutationApplied();
 
   /// Applies one membership edit in place (`add` selects insert vs
-  /// erase), appends the affected node ids to `affected`, and emits
-  /// the audit event. Does NOT invalidate caches — callers scope one
-  /// sweep over the (possibly coalesced) affected set.
+  /// erase), appends the affected node ids to `affected` and to the
+  /// reach-index dirt, and emits the audit event.
   Status MutateMembership(bool add, std::string_view parent,
                           std::string_view child,
                           std::vector<graph::NodeId>* affected);
-
-  /// One reachability-scoped invalidation sweep over `affected` (or a
-  /// full clear with incremental updates disabled). Returns the number
-  /// of cache entries dropped.
-  size_t InvalidateAffected(const std::vector<graph::NodeId>& affected);
 
   /// \brief Brings `reach_index_` up to date with the master state.
   ///
@@ -444,8 +416,6 @@ class AccessControlSystem {
   graph::Dag dag_;
   acm::ExplicitAcm eacm_;
   SystemOptions options_;
-  ResolutionCache resolution_cache_;
-  SubgraphCache subgraph_cache_;
   std::unique_ptr<SnapshotState> snapshot_state_;
 
   /// Last built reachability index (shared with published snapshots;

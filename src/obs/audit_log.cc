@@ -18,7 +18,6 @@ std::string_view AuditEventTypeName(AuditEventType type) {
     case AuditEventType::kAddMember: return "add_member";
     case AuditEventType::kRemoveMember: return "remove_member";
     case AuditEventType::kStrategyChange: return "strategy_change";
-    case AuditEventType::kCacheClear: return "cache_clear";
     case AuditEventType::kEpochBump: return "epoch_bump";
     case AuditEventType::kAccessDecision: return "access_decision";
     case AuditEventType::kSlowQuery: return "slow_query";

@@ -29,7 +29,6 @@ enum class AuditEventType : uint8_t {
   kAddMember,          ///< SDAG membership edge added.
   kRemoveMember,       ///< SDAG membership edge removed.
   kStrategyChange,     ///< Session strategy reconfigured.
-  kCacheClear,         ///< A derived-state cache dropped its entries.
   kEpochBump,          ///< An ACM column epoch advanced (matrix edit).
   kAccessDecision,     ///< Sampled query decision.
   kSlowQuery,          ///< Sampled query over the latency threshold.

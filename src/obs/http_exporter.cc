@@ -175,17 +175,11 @@ std::string RenderStatz() {
   TimeSeriesSampler& ts = TimeSeriesSampler::Global();
   Registry& reg = Registry::Global();
   const double qps = RecentRate("ucr_system_queries_total") +
-                     RecentRate("ucr_snapshot_queries_total") +
-                     RecentRate("ucr_batch_queries_total");
+                     RecentRate("ucr_snapshot_queries_total");
   std::ostringstream out;
   out << "{\"qps\":" << qps
       << ",\"resolve_p99_ns\":" << RecentP99("ucr_resolve_latency_ns")
-      << ",\"system_p99_ns\":" << RecentP99("ucr_system_query_latency_ns")
       << ",\"snapshot_p99_ns\":" << RecentP99("ucr_snapshot_query_latency_ns")
-      << ",\"batch_p99_ns\":" << RecentP99("ucr_batch_query_latency_ns")
-      << ",\"resolution_cache_hit_rate\":"
-      << HitRate("ucr_resolution_cache_hits_total",
-                 "ucr_resolution_cache_misses_total")
       << ",\"snapshot_cache_hit_rate\":"
       << HitRate("ucr_snapshot_resolution_hits_total",
                  "ucr_snapshot_resolution_misses_total")

@@ -23,7 +23,7 @@ namespace ucr::obs {
 ///   /tracez      JSON: recent sampled traces + last shadow mismatches
 ///   /timeseries  JSON: the sampler's retained two-tier history
 ///   /statz       JSON: one-page operator summary (qps, tail latency,
-///                cache hit rates, epoch churn, health) — what
+///                snapshot-table hit rate, epoch churn, health) — what
 ///                `ucr_admin top` polls
 ///
 /// Binds 127.0.0.1 only — this is an operator/scrape port, not a

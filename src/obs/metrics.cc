@@ -309,8 +309,8 @@ LockWaitMetrics& GetLockWaitMetrics() {
   static LockWaitMetrics* metrics = new LockWaitMetrics{
       Registry::Global().GetCounter(
           "ucr_lock_acquisitions_total",
-          "Reader-path lock acquisitions (sharded caches and any other "
-          "lock a concurrent query can take)"),
+          "Reader-path lock acquisitions (any lock a concurrent query "
+          "can take)"),
       Registry::Global().GetCounter(
           "ucr_lock_contended_total",
           "Reader-path lock acquisitions that had to wait"),

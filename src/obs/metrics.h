@@ -350,7 +350,7 @@ struct LockWaitMetrics {
   Histogram& wait_ns;
 };
 
-/// The shared-cache / reader-path lock family (`ucr_lock_*`), used by
+/// The reader-path lock family (`ucr_lock_*`), used by
 /// every lock a concurrent *query* can take. Writer-only locks use
 /// `GetWriteLockMetrics` so reader-path flatness is assertable.
 LockWaitMetrics& GetLockWaitMetrics();

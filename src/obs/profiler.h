@@ -114,16 +114,15 @@ class CycleClock {
 
 /// \brief Owner scope of one sampled query's phase attribution.
 ///
-/// The outermost sampled entry point (ResolveAccess standalone,
-/// CheckAccess, BatchResolver::ResolveOne, SnapshotResolveAccess)
-/// constructs one with its sampling decision. When `sampled` is true
-/// and no outer scope exists, the scope activates the thread's
-/// accumulator; inner `ScopedPhaseTimer`s — woven through extraction,
-/// propagation, composition, resolution, and the cache probes — then
-/// attribute into it regardless of which layer they live in. The
-/// destructor flushes the accumulated phases into the `ucr_phase_*_ns`
-/// histograms. A nested scope (e.g. ResolveAccess under CheckAccess)
-/// is a no-op: the outer owner keeps the attribution.
+/// The outermost sampled entry point (ResolveAccess,
+/// SnapshotResolveAccess) constructs one with its sampling decision.
+/// When `sampled` is true and no outer scope exists, the scope
+/// activates the thread's accumulator; inner `ScopedPhaseTimer`s —
+/// woven through extraction, propagation, composition, resolution, and
+/// the table probes — then attribute into it regardless of which layer
+/// they live in. The destructor flushes the accumulated phases into the
+/// `ucr_phase_*_ns` histograms. A nested scope is a no-op: the outer
+/// owner keeps the attribution.
 class ScopedPhaseCollection {
  public:
   explicit ScopedPhaseCollection(bool sampled) {

@@ -1,7 +1,7 @@
 // Scale-level integration checks on a Livelink-shaped hierarchy: the
 // consistency properties that must survive thousands of subjects —
-// batch parallelism, whole-graph materialization, caching, and the
-// persistence round trip all agreeing with scalar resolution.
+// batch parallelism, whole-graph materialization, the snapshot memo,
+// and the persistence round trip all agreeing with scalar resolution.
 
 #include <gtest/gtest.h>
 
@@ -82,18 +82,16 @@ TEST(EnterpriseScaleTest, EffectiveColumnAgreesWithScalarQueries) {
   }
 }
 
-TEST(EnterpriseScaleTest, CachedAndUncachedAgreeUnderChurn) {
-  core::SystemOptions uncached_opt;
-  uncached_opt.enable_resolution_cache = false;
-  uncached_opt.enable_subgraph_cache = false;
-
-  core::AccessControlSystem cached = MakeScaleSystem();
+// The memoized read path (snapshot decision table, carried over each
+// rights edit) against an unmemoized system rebuilt from the same
+// state, under matrix churn.
+TEST(EnterpriseScaleTest, SnapshotAndRebuiltFacadeAgreeUnderChurn) {
+  core::AccessControlSystem memoized = MakeScaleSystem();
   core::AccessControlSystem uncached = MakeScaleSystem();
-  // (Same seed => identical systems; only the cache settings differ,
-  // applied post-hoc via a fresh build for `uncached`.)
+  // (Same seed => identical systems; `uncached` is re-created through
+  // the text round trip so the two share no in-memory state.)
   core::AccessControlSystem uncached_rebuilt(
-      graph::FromEdgeListText(graph::ToEdgeListText(uncached.dag())).value(),
-      uncached_opt);
+      graph::FromEdgeListText(graph::ToEdgeListText(uncached.dag())).value());
   for (const auto& e : uncached.eacm().SortedEntries()) {
     const std::string& name = uncached.dag().name(e.subject);
     ASSERT_TRUE((e.mode == Mode::kPositive
@@ -101,28 +99,31 @@ TEST(EnterpriseScaleTest, CachedAndUncachedAgreeUnderChurn) {
                      : uncached_rebuilt.DenyAccess(name, "vault", "open"))
                     .ok());
   }
+  memoized.EnableSnapshotReads();
 
   const Strategy s = core::ParseStrategy("LMP-").value();
+  const acm::ObjectId o = memoized.eacm().FindObject("vault").value();
+  const acm::RightId r = memoized.eacm().FindRight("open").value();
   Random rng(99);
-  const auto sinks = cached.dag().Sinks();
+  const auto sinks = memoized.dag().Sinks();
   for (int round = 0; round < 4; ++round) {
-    // Query a sample twice (to exercise hits), then churn the matrix.
+    // Query a sample twice (to exercise table hits), then churn the
+    // matrix.
     for (int i = 0; i < 50; ++i) {
       const graph::NodeId v = sinks[rng.Uniform(sinks.size())];
-      auto a = cached.CheckAccessByName(cached.dag().name(v), "vault",
-                                        "open", s);
-      auto b = uncached_rebuilt.CheckAccessByName(cached.dag().name(v),
+      auto a = memoized.CheckAccessSnapshot(v, o, r, s);
+      auto b = uncached_rebuilt.CheckAccessByName(memoized.dag().name(v),
                                                   "vault", "open", s);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      ASSERT_EQ(*a, *b) << cached.dag().name(v);
+      ASSERT_EQ(*a, *b) << memoized.dag().name(v);
     }
     const graph::NodeId target = static_cast<graph::NodeId>(
-        rng.Uniform(cached.dag().node_count()));
-    const std::string name = cached.dag().name(target);
-    (void)cached.Revoke(name, "vault", "open");
+        rng.Uniform(memoized.dag().node_count()));
+    const std::string name = memoized.dag().name(target);
+    (void)memoized.Revoke(name, "vault", "open");
     (void)uncached_rebuilt.Revoke(name, "vault", "open");
-    ASSERT_TRUE(cached.Grant(name, "vault", "open").ok());
+    ASSERT_TRUE(memoized.Grant(name, "vault", "open").ok());
     ASSERT_TRUE(uncached_rebuilt.Grant(name, "vault", "open").ok());
   }
 }

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "acm/acm.h"
+#include "core/batch_resolver.h"
 #include "core/resolve.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -103,6 +105,72 @@ TEST(HotPathAllocTest, SteadyStateResolveAccessIsAllocationFree) {
   EXPECT_EQ(allocations, 0u)
       << "the fast path allocated on warm arenas — a regression in "
          "scratch extraction, flat propagation, or streaming resolve";
+}
+
+// A pass over a warm epoch snapshot (DESIGN.md §11) is all decision-
+// table hits: zero allocations per query, both for direct snapshot
+// reads and for the batch engine bound to that snapshot, whose only
+// heap traffic is per batch (the result vector), not per query.
+TEST(HotPathAllocTest, WarmSnapshotPassIsAllocationFreePerQuery) {
+  if (UCR_ALLOC_TEST_SKIP) {
+    GTEST_SKIP() << "allocation bounds are checked without sanitizers";
+  }
+
+  Random rng(93);
+  graph::LayeredDagOptions shape;
+  shape.layers = 5;
+  shape.nodes_per_layer = 12;
+  shape.skip_edge_probability = 0.1;
+  auto dag = graph::GenerateLayeredDag(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  acm::ExplicitAcm eacm;
+  const acm::ObjectId object = eacm.InternObject("o").value();
+  const acm::RightId right = eacm.InternRight("r").value();
+  for (graph::NodeId v = 0; v < dag->node_count(); ++v) {
+    if (!rng.Bernoulli(0.2)) continue;
+    ASSERT_TRUE(eacm.Set(v, object, right,
+                         rng.Bernoulli(0.4) ? acm::Mode::kNegative
+                                            : acm::Mode::kPositive)
+                    .ok());
+  }
+  const Strategy strategy = ParseStrategy("D+LP-").value();
+  const auto snapshot =
+      BuildSnapshot(*dag, eacm, strategy, PropagationMode::kBoth,
+                    /*epoch=*/1, /*previous=*/nullptr,
+                    /*resolution_capacity=*/1 << 10);
+  std::vector<BatchResolver::Query> queries;
+  for (graph::NodeId v = 0; v < dag->node_count(); ++v) {
+    queries.push_back({v, object, right});
+  }
+  const auto read_all = [&] {
+    for (const BatchResolver::Query& q : queries) {
+      ASSERT_TRUE(SnapshotResolveAccess(*snapshot, q.subject, q.object,
+                                        q.right, strategy)
+                      .ok());
+    }
+  };
+  read_all();  // Warm-up: fills the decision and sub-graph tables.
+
+  uint64_t before = AllocationCount();
+  read_all();
+  EXPECT_EQ(AllocationCount() - before, 0u)
+      << "a decision-table hit allocated";
+
+  // The batch engine: a pass of N and a pass of 4N warm queries must
+  // allocate the same per-batch constant.
+  BatchResolver resolver(*snapshot);
+  std::vector<BatchResolver::Query> quadrupled;
+  for (int i = 0; i < 4; ++i) {
+    quadrupled.insert(quadrupled.end(), queries.begin(), queries.end());
+  }
+  ASSERT_TRUE(resolver.ResolveBatch(queries, strategy).ok());
+  before = AllocationCount();
+  ASSERT_TRUE(resolver.ResolveBatch(queries, strategy).ok());
+  const uint64_t single = AllocationCount() - before;
+  before = AllocationCount();
+  ASSERT_TRUE(resolver.ResolveBatch(quadrupled, strategy).ok());
+  EXPECT_EQ(AllocationCount() - before, single)
+      << "warm batch queries allocated per query";
 }
 
 // The observability acceptance bound (DESIGN.md §8): metrics recording

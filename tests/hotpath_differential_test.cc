@@ -16,6 +16,7 @@
 #include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/ancestor_subgraph.h"
@@ -222,7 +223,7 @@ TEST(HotPathDifferentialTest, ResolveEntriesMatchesResolveOnPropagatedBags) {
   }
 }
 
-TEST(HotPathDifferentialTest, BatchResolverFastMatchesClassic) {
+TEST(HotPathDifferentialTest, SnapshotTablesMatchClassic) {
   Random rng(27);
   graph::LayeredDagOptions shape;
   shape.layers = 5;
@@ -237,24 +238,52 @@ TEST(HotPathDifferentialTest, BatchResolverFastMatchesClassic) {
     queries.push_back({v, column.object, column.right});
   }
   for (const PropagationMode mode : kAllModes) {
-    // The fast branch has two sub-paths: propagation over a cached
-    // `AncestorSubgraph` and over a scratch-arena view. Exercise both.
-    for (const bool subgraph_cache : {true, false}) {
-      BatchResolverOptions fast_options;
-      fast_options.propagation_mode = mode;
-      fast_options.enable_subgraph_cache = subgraph_cache;
-      BatchResolverOptions classic_options = fast_options;
-      classic_options.use_fast_path = false;
-      BatchResolver fast(*dag, eacm, fast_options);
-      BatchResolver classic(*dag, eacm, classic_options);
-      for (const Strategy& strategy : AllStrategies()) {
-        const auto fast_result = fast.ResolveBatch(queries, strategy);
-        const auto classic_result = classic.ResolveBatch(queries, strategy);
-        ASSERT_TRUE(fast_result.ok());
-        ASSERT_TRUE(classic_result.ok());
-        ASSERT_EQ(*fast_result, *classic_result)
-            << strategy.ToMnemonic() << " mode " << ModeName(mode)
-            << (subgraph_cache ? " cached-subgraphs" : " scratch-views");
+    ResolveAccessOptions classic;
+    classic.propagation_mode = mode;
+    classic.use_fast_path = false;
+    // The snapshot's miss path has two sub-paths: propagation over a
+    // table-resident `AncestorSubgraph` and over a scratch-arena view.
+    // Exercise both, each with and without the decision table.
+    for (const bool subgraph_table : {true, false}) {
+      for (const bool resolution_table : {true, false}) {
+        SnapshotReadOptions read;
+        read.use_subgraph_table = subgraph_table;
+        read.use_resolution_table = resolution_table;
+        const auto snapshot =
+            BuildSnapshot(*dag, eacm, Strategy{}, mode, /*epoch=*/1,
+                          /*previous=*/nullptr,
+                          /*resolution_capacity=*/1 << 14);
+        for (const Strategy& strategy : AllStrategies()) {
+          for (const BatchResolver::Query& q : queries) {
+            const auto fast = SnapshotResolveAccess(
+                *snapshot, q.subject, q.object, q.right, strategy, read);
+            const auto want = ResolveAccess(*dag, eacm, q.subject, q.object,
+                                            q.right, strategy, classic);
+            ASSERT_TRUE(fast.ok());
+            ASSERT_TRUE(want.ok());
+            ASSERT_EQ(*fast, *want)
+                << strategy.ToMnemonic() << " mode " << ModeName(mode)
+                << (subgraph_table ? " table-subgraphs" : " scratch-views")
+                << (resolution_table ? " memo" : " no-memo");
+          }
+        }
+      }
+    }
+    // The batch engine over a fresh snapshot, warm across strategies.
+    const auto snapshot =
+        BuildSnapshot(*dag, eacm, Strategy{}, mode, /*epoch=*/1,
+                      /*previous=*/nullptr, /*resolution_capacity=*/1 << 14);
+    BatchResolver batch(*snapshot);
+    for (const Strategy& strategy : AllStrategies()) {
+      const auto batched = batch.ResolveBatch(queries, strategy);
+      ASSERT_TRUE(batched.ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const auto want =
+            ResolveAccess(*dag, eacm, queries[i].subject, queries[i].object,
+                          queries[i].right, strategy, classic);
+        ASSERT_TRUE(want.ok());
+        ASSERT_EQ((*batched)[i], *want)
+            << strategy.ToMnemonic() << " mode " << ModeName(mode);
       }
     }
   }

@@ -4,11 +4,12 @@
 // hierarchy. After every round the in-place-mutated hierarchy is
 // compared against an independent model (names + edge set maintained
 // alongside the ops) and a from-scratch DagBuilder rebuild of that
-// model; every decision of the incremental write path — the cached
-// facade, the allocation-free fast path, and the multi-threaded
-// BatchResolver with forwarded affected sets — must be bit-identical
-// (decision, majority counters, Auth flags, returned line) to the
-// classic engines resolving over the rebuilt oracle.
+// model; every decision of the incremental write path — the facade,
+// the allocation-free fast path, the published snapshot (whose
+// decision table is carried over edit by edit), and the multi-threaded
+// BatchResolver over a pinned epoch — must be bit-identical (decision,
+// majority counters, Auth flags, returned line) to the classic engines
+// resolving over the rebuilt oracle.
 
 #include <cstdint>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/batch_resolver.h"
 #include "core/paper_example.h"
 #include "core/resolve.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/dag.h"
@@ -119,17 +121,14 @@ void ExpectTracesEqual(const ResolveTrace& got, const ResolveTrace& want,
       << "round " << round << " strategy " << strategy_index;
 }
 
-/// One randomized mutation applied to the system, mirrored into the
-/// model on success, and its affected set forwarded to the external
-/// resolver — exactly what a long-running server's write path does.
-void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
-                   HierarchyModel& model, Random& rng,
-                   const std::string& object, const std::string& right,
-                   size_t* fresh_counter) {
+/// One randomized mutation applied to the system and mirrored into
+/// the model on success.
+void ApplyRandomOp(AccessControlSystem& system, HierarchyModel& model,
+                   Random& rng, const std::string& object,
+                   const std::string& right, size_t* fresh_counter) {
   const auto random_name = [&] {
     return model.names[rng.Uniform(model.names.size())];
   };
-  std::vector<graph::NodeId> affected;
   switch (rng.Uniform(6)) {
     // Setting a triple that already carries a label is rejected
     // (Set, not Overwrite), so rights edits revoke first — the op
@@ -156,7 +155,7 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
       // rejected with the hierarchy unchanged.
       const std::string parent = random_name();
       const std::string child = random_name();
-      if (system.AddMembership(parent, child, &affected).ok()) {
+      if (system.AddMembership(parent, child).ok()) {
         model.edges.emplace_back(parent, child);
       }
       break;
@@ -166,7 +165,7 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
       // cycle, so this op must succeed and grow the node set.
       const std::string parent = random_name();
       const std::string child = "hire" + std::to_string((*fresh_counter)++);
-      ASSERT_TRUE(system.AddMembership(parent, child, &affected).ok());
+      ASSERT_TRUE(system.AddMembership(parent, child).ok());
       model.EnsureName(parent);
       model.EnsureName(child);
       model.edges.emplace_back(parent, child);
@@ -177,33 +176,34 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
         const auto& edge = model.edges[rng.Uniform(model.edges.size())];
         const std::string parent = edge.first;
         const std::string child = edge.second;
-        ASSERT_TRUE(system.RemoveMembership(parent, child, &affected).ok());
+        ASSERT_TRUE(system.RemoveMembership(parent, child).ok());
         ASSERT_TRUE(model.EraseEdge(parent, child));
       } else {
         // Random pair: usually absent; NotFound leaves state unchanged.
         const std::string parent = random_name();
         const std::string child = random_name();
-        if (system.RemoveMembership(parent, child, &affected).ok()) {
+        if (system.RemoveMembership(parent, child).ok()) {
           ASSERT_TRUE(model.EraseEdge(parent, child));
         }
       }
       break;
     }
   }
-  if (!affected.empty()) resolver.InvalidateSubjects(affected);
 }
 
 /// The differential driver: `rounds` rounds of 1–2 random mutations,
 /// each followed by a structural check, a from-scratch oracle rebuild,
-/// and a sweep of queries comparing the cached facade, the fast path
-/// (with its Fig. 4 trace), and — every fourth round — a
-/// multi-threaded BatchResolver batch against the classic engines on
-/// the oracle. Strategies rotate through all 48 canonical instances.
+/// and a sweep of queries comparing the facade, the fast path (with
+/// its Fig. 4 trace), the published snapshot (read twice — a memo miss,
+/// then a hit — on a decision table carried over edit by edit), and —
+/// every fourth round — a multi-threaded BatchResolver batch over the
+/// pinned epoch against the classic engines on the oracle. Strategies
+/// rotate through all 48 canonical instances.
 void RunDifferential(AccessControlSystem& system, const std::string& object,
                      const std::string& right, uint64_t seed, size_t rounds,
                      size_t queries_per_round) {
   HierarchyModel model = SeedModel(system.dag());
-  BatchResolver resolver(system, /*threads=*/2);
+  system.EnableSnapshotReads();
   const std::vector<Strategy>& strategies = AllStrategies();
   Random rng(seed);
   size_t fresh_counter = 0;
@@ -219,8 +219,7 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
   for (size_t round = 0; round < rounds; ++round) {
     const size_t ops = 1 + rng.Uniform(2);
     for (size_t i = 0; i < ops; ++i) {
-      ApplyRandomOp(system, resolver, model, rng, object, right,
-                    &fresh_counter);
+      ApplyRandomOp(system, model, rng, object, right, &fresh_counter);
       if (::testing::Test::HasFatalFailure()) return;
     }
 
@@ -241,14 +240,25 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
                                       classic, &classic_trace);
       ASSERT_TRUE(want.ok()) << "round " << round;
 
-      // The cached incremental facade (scoped invalidation) ...
-      const auto cached =
+      // The facade over the in-place-mutated master state ...
+      const auto facade =
           system.CheckAccess(subject, *object_id, *right_id, strategy);
-      ASSERT_TRUE(cached.ok()) << "round " << round;
-      EXPECT_EQ(*cached, *want)
+      ASSERT_TRUE(facade.ok()) << "round " << round;
+      EXPECT_EQ(*facade, *want)
           << "round " << round << " subject "
           << system.dag().name(subject) << " strategy "
           << strategy.CanonicalIndex();
+
+      // ... the published snapshot, memo miss then memo hit ...
+      for (int read = 0; read < 2; ++read) {
+        const auto snap = system.CheckAccessSnapshot(subject, *object_id,
+                                                     *right_id, strategy);
+        ASSERT_TRUE(snap.ok()) << "round " << round;
+        EXPECT_EQ(*snap, *want)
+            << "round " << round << " read " << read << " subject "
+            << system.dag().name(subject) << " strategy "
+            << strategy.CanonicalIndex();
+      }
 
       // ... and the fast path over the in-place-mutated hierarchy must
       // both match the classic rebuild, derivation included.
@@ -271,6 +281,10 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
                              rng.Uniform(system.dag().node_count())),
                          *object_id, *right_id});
       }
+      const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+      BatchResolverOptions batch_options;
+      batch_options.threads = 2;
+      BatchResolver resolver(*pin, batch_options);
       const auto results = resolver.ResolveBatch(batch, strategy);
       ASSERT_TRUE(results.ok()) << "round " << round;
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -295,7 +309,7 @@ AccessControlSystem MakePaperSystem() {
   return system;
 }
 
-AccessControlSystem MakeEnterpriseSystem(SystemOptions options = {}) {
+AccessControlSystem MakeEnterpriseSystem() {
   Random rng(11);
   workload::EnterpriseOptions shape;
   shape.individuals = 250;
@@ -304,7 +318,7 @@ AccessControlSystem MakeEnterpriseSystem(SystemOptions options = {}) {
   shape.target_edges = 2100;
   auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
   EXPECT_TRUE(dag.ok());
-  AccessControlSystem system(std::move(dag).value(), options);
+  AccessControlSystem system(std::move(dag).value());
   Random labels(12);
   for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
     if (!labels.Bernoulli(0.03)) continue;
@@ -330,15 +344,14 @@ TEST(MutationDifferentialTest,
                   /*queries_per_round=*/6);
 }
 
-// The two invalidation policies must be observationally identical:
-// drive an incremental system and a full-clear system through the same
-// randomized ApplyMutations batches and compare every decision.
-TEST(MutationDifferentialTest, ScopedAndFullClearPoliciesAgreeUnderChurn) {
-  SystemOptions full_clear_options;
-  full_clear_options.incremental_hierarchy_updates = false;
+// Carry-over must be observationally identical to starting cold:
+// drive a snapshot-publishing system through randomized ApplyMutations
+// batches and compare every decision its published epoch serves (warm
+// table, carried edit by edit) with a snapshot built cold from the
+// same master state.
+TEST(MutationDifferentialTest, CarriedAndColdSnapshotsAgreeUnderChurn) {
   AccessControlSystem incremental = MakeEnterpriseSystem();
-  AccessControlSystem full_clear = MakeEnterpriseSystem(full_clear_options);
-  ASSERT_EQ(incremental.dag().node_count(), full_clear.dag().node_count());
+  incremental.EnableSnapshotReads();
 
   const auto object = incremental.eacm().FindObject("doc");
   const auto right = incremental.eacm().FindRight("read");
@@ -347,10 +360,16 @@ TEST(MutationDifferentialTest, ScopedAndFullClearPoliciesAgreeUnderChurn) {
 
   using Op = AccessControlSystem::MutationOp;
   Random rng(303);
+  // A hot set queried every round under one fixed strategy, so the
+  // carried table actually serves hits across membership-only batches.
+  std::vector<graph::NodeId> hot;
+  for (size_t i = 0; i < 32; ++i) {
+    hot.push_back(static_cast<graph::NodeId>(
+        rng.Uniform(incremental.dag().node_count())));
+  }
+  const Strategy fixed = ParseStrategy("D+LP-").value();
   size_t fresh = 0;
   for (size_t round = 0; round < 30; ++round) {
-    // Both systems evolve identically, so a batch that aborts midway
-    // (e.g. on a duplicate edge) aborts at the same op in both.
     std::vector<Op> ops;
     const size_t batch_size = 1 + rng.Uniform(3);
     for (size_t i = 0; i < batch_size; ++i) {
@@ -379,36 +398,37 @@ TEST(MutationDifferentialTest, ScopedAndFullClearPoliciesAgreeUnderChurn) {
           break;
       }
     }
-    AccessControlSystem::MutationBatchStats incr_stats;
-    AccessControlSystem::MutationBatchStats clear_stats;
-    const Status incr_status = incremental.ApplyMutations(ops, &incr_stats);
-    const Status clear_status = full_clear.ApplyMutations(ops, &clear_stats);
-    ASSERT_EQ(incr_status.ok(), clear_status.ok()) << "round " << round;
-    ASSERT_EQ(incr_stats.applied, clear_stats.applied) << "round " << round;
-    ASSERT_EQ(incr_stats.affected, clear_stats.affected) << "round " << round;
-    ASSERT_EQ(incremental.dag().node_count(), full_clear.dag().node_count());
+    // A batch may abort midway (e.g. on a duplicate edge); whatever
+    // applied is published either way.
+    (void)incremental.ApplyMutations(ops);
 
-    const Strategy& strategy = strategies[round % strategies.size()];
+    const SnapshotManager::ReadPin carried = incremental.snapshots()->Pin();
+    const auto cold = BuildSnapshot(
+        incremental.dag(), incremental.eacm(), incremental.strategy(),
+        incremental.propagation_mode(), carried->epoch, /*previous=*/nullptr,
+        /*resolution_capacity=*/1 << 14);
+    const Strategy& rotating = strategies[round % strategies.size()];
     for (size_t q = 0; q < 8; ++q) {
-      const graph::NodeId subject = static_cast<graph::NodeId>(
-          rng.Uniform(incremental.dag().node_count()));
-      const auto scoped =
-          incremental.CheckAccess(subject, *object, *right, strategy);
-      const auto cleared =
-          full_clear.CheckAccess(subject, *object, *right, strategy);
-      ASSERT_TRUE(scoped.ok() && cleared.ok()) << "round " << round;
-      EXPECT_EQ(*scoped, *cleared)
-          << "round " << round << " subject "
-          << incremental.dag().name(subject);
+      const graph::NodeId subject = hot[rng.Uniform(hot.size())];
+      for (const Strategy* strategy : {&fixed, &rotating}) {
+        const auto warm = SnapshotResolveAccess(*carried, subject, *object,
+                                                *right, *strategy);
+        const auto from_cold = SnapshotResolveAccess(*cold, subject, *object,
+                                                     *right, *strategy);
+        ASSERT_TRUE(warm.ok() && from_cold.ok()) << "round " << round;
+        EXPECT_EQ(*warm, *from_cold)
+            << "round " << round << " subject "
+            << incremental.dag().name(subject);
+      }
     }
   }
 }
 
 #if UCR_METRICS_ENABLED
 
-// The PR's online guarantee: with shadow verification at interval 1,
-// every fast-path miss after a membership edit is re-resolved by the
-// classic oracle over the same (in-place-mutated) hierarchy — zero
+// The online guarantee: with shadow verification at interval 1, every
+// snapshot-table miss after a membership edit is re-resolved by the
+// classic oracle over the published epoch's hierarchy — zero
 // divergences means the incremental write path never serves a
 // decision the from-scratch engines would not.
 TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
@@ -423,19 +443,18 @@ TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
   ASSERT_TRUE(object.ok() && right.ok());
   const Strategy strategy = ParseStrategy("D+LP-").value();
 
-  BatchResolver resolver(system, /*threads=*/2);
+  system.EnableSnapshotReads();
+  BatchResolverOptions batch_options;
+  batch_options.threads = 2;
   Random rng(404);
   size_t fresh = 0;
   for (size_t round = 0; round < 12; ++round) {
     const std::string parent = system.dag().name(static_cast<graph::NodeId>(
         rng.Uniform(system.dag().node_count())));
-    std::vector<graph::NodeId> affected;
     ASSERT_TRUE(system
                     .AddMembership(parent,
-                                   "shadowhire" + std::to_string(fresh++),
-                                   &affected)
+                                   "shadowhire" + std::to_string(fresh++))
                     .ok());
-    resolver.InvalidateSubjects(affected);
 
     std::vector<BatchResolver::Query> batch;
     for (size_t i = 0; i < 16; ++i) {
@@ -443,6 +462,8 @@ TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
                            rng.Uniform(system.dag().node_count())),
                        *object, *right});
     }
+    const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+    BatchResolver resolver(*pin, batch_options);
     ASSERT_TRUE(resolver.ResolveBatch(batch, strategy).ok());
   }
 

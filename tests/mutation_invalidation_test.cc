@@ -1,9 +1,12 @@
-// Reachability-scoped cache invalidation on the write path
-// (DESIGN.md §10): a hierarchy edit must drop exactly the affected
-// subjects' cached state — and nothing else. Covers the serial caches
-// behind AccessControlSystem, the sharded caches behind BatchResolver,
-// the batched ApplyMutations sweep, and the write-path observability
-// (mutation counters, audit events carrying affected-set size).
+// The write path's affected sets (DESIGN.md §10): a hierarchy edit
+// reports exactly the subjects whose ancestor sets it changed, a
+// batch coalesces them, and the next published snapshot serves the
+// edited subjects' new decisions — never a memoized stale one. Covers
+// ApplyMutations' coalescing and partial-failure contract, the
+// `invalidated_entries` report, and the write-path observability
+// (mutation counters, audit events carrying affected-set size). The
+// exact carry-over scoping of the snapshot's decision table is
+// asserted in snapshot_differential_test.
 
 #include <algorithm>
 #include <string>
@@ -11,14 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batch_resolver.h"
 #include "core/paper_example.h"
 #include "core/system.h"
 #include "graph/dag.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
-#include "util/random.h"
-#include "workload/enterprise.h"
 
 namespace ucr::core {
 namespace {
@@ -38,177 +38,31 @@ AccessControlSystem MakePaperSystem(SystemOptions options = {}) {
   return system;
 }
 
-/// A small enterprise hierarchy with one populated column, the test
-/// stand-in for the bench/mutation_churn workload.
-AccessControlSystem MakeEnterpriseSystem(SystemOptions options = {}) {
-  Random rng(7);
-  workload::EnterpriseOptions shape;
-  shape.individuals = 300;
-  shape.groups = 700;
-  shape.top_level_groups = 10;
-  shape.target_edges = 2600;
-  auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
-  EXPECT_TRUE(dag.ok());
-  AccessControlSystem system(std::move(dag).value(), options);
-  Random labels(8);
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    if (!labels.Bernoulli(0.02)) continue;
-    const std::string& name = system.dag().name(v);
-    const Status status = labels.Bernoulli(0.3)
-                              ? system.DenyAccess(name, "doc", "read")
-                              : system.Grant(name, "doc", "read");
-    EXPECT_TRUE(status.ok());
-  }
-  return system;
-}
-
-/// First sink with at least one parent — the churned user. Sinks have
-/// no descendants, so the affected set of editing its membership is
-/// exactly that one subject.
-graph::NodeId FindChurnUser(const graph::Dag& dag) {
-  for (graph::NodeId v = 0; v < dag.node_count(); ++v) {
-    if (dag.children(v).empty() && !dag.parents(v).empty()) return v;
-  }
-  return graph::kInvalidNode;
-}
-
-/// Queries every sink once, warming both caches.
-std::vector<graph::NodeId> WarmSinks(AccessControlSystem& system,
-                                     const Strategy& strategy) {
-  std::vector<graph::NodeId> sinks;
-  const auto object = system.eacm().FindObject("doc");
-  const auto right = system.eacm().FindRight("read");
-  EXPECT_TRUE(object.ok() && right.ok());
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    if (!system.dag().children(v).empty()) continue;
-    EXPECT_TRUE(system.CheckAccess(v, *object, *right, strategy).ok());
-    sinks.push_back(v);
-  }
-  return sinks;
-}
-
-// The PR's acceptance criterion: after a single membership edit on the
-// enterprise workload, cache entries for subjects outside the affected
-// set survive and keep serving hits. The reachability index is pinned
-// off: this test is about the classic extraction path's scoped
-// invalidation, and the indexed path never populates the subgraph
-// cache it measures.
-TEST(MutationInvalidationTest, SingleEditKeepsUnaffectedEntriesWarm) {
-  SystemOptions classic;
-  classic.use_reachability_index = false;
-  AccessControlSystem system = MakeEnterpriseSystem(classic);
-  const Strategy strategy = S("D+LP-");
-  const std::vector<graph::NodeId> sinks = WarmSinks(system, strategy);
-  ASSERT_GT(sinks.size(), 100u);
-
-  const graph::NodeId churn = FindChurnUser(system.dag());
-  ASSERT_NE(churn, graph::kInvalidNode);
-  const std::string parent = system.dag().name(system.dag().parents(churn)[0]);
-  const std::string child = system.dag().name(churn);
-
-  const size_t resolution_before = system.resolution_cache().size();
-  const size_t subgraph_before = system.subgraph_cache().size();
-  ASSERT_GE(resolution_before, sinks.size());
-
-  std::vector<graph::NodeId> affected;
-  ASSERT_TRUE(system.RemoveMembership(parent, child, &affected).ok());
-  EXPECT_EQ(affected, std::vector<graph::NodeId>{churn});
-
-  // Exactly the churned user's entries dropped; everyone else's
-  // survived.
-  EXPECT_EQ(system.resolution_cache().size(), resolution_before - 1);
-  EXPECT_EQ(system.subgraph_cache().size(), subgraph_before - 1);
-
-  // Re-querying the surviving sinks is all hits: the edit did not cost
-  // the rest of the directory its warm cache (hit-rate retention).
-  const auto stats_before = system.resolution_cache().stats();
-  const auto object = system.eacm().FindObject("doc");
-  const auto right = system.eacm().FindRight("read");
-  size_t requeried = 0;
-  for (const graph::NodeId v : sinks) {
-    if (v == churn) continue;
-    ASSERT_TRUE(system.CheckAccess(v, *object, *right, strategy).ok());
-    ++requeried;
-  }
-  const auto stats_after = system.resolution_cache().stats();
-  EXPECT_EQ(stats_after.hits - stats_before.hits, requeried);
-  EXPECT_EQ(stats_after.misses, stats_before.misses);
-}
-
-TEST(MutationInvalidationTest, FullClearBaselineDropsEverything) {
-  SystemOptions options;
-  options.incremental_hierarchy_updates = false;
-  AccessControlSystem system = MakeEnterpriseSystem(options);
-  const Strategy strategy = S("D+LP-");
-  WarmSinks(system, strategy);
-  ASSERT_GT(system.resolution_cache().size(), 0u);
-
-  const graph::NodeId churn = FindChurnUser(system.dag());
-  const std::string parent = system.dag().name(system.dag().parents(churn)[0]);
-  ASSERT_TRUE(system.RemoveMembership(parent, system.dag().name(churn)).ok());
-
-  // The pre-§10 write path: both caches wiped, warm or not.
-  EXPECT_EQ(system.resolution_cache().size(), 0u);
-  EXPECT_EQ(system.subgraph_cache().size(), 0u);
-}
-
+// The snapshot's decision table is the one memo: a decision stored
+// before an edit must not be carried into the epoch the edit
+// publishes. The facade (unmemoized) and the snapshot path must agree
+// on every step.
 TEST(MutationInvalidationTest, EditedSubjectIsReResolvedNotServedStale) {
   AccessControlSystem system = MakePaperSystem();
   system.SetStrategy(S("D+LP-"));
-  // Warm the cache with the pre-edit decision (denied via S5).
-  EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(),
-            Mode::kNegative);
+  system.EnableSnapshotReads();
+  const auto expect_user = [&](Mode want) {
+    EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(), want);
+    EXPECT_EQ(system.CheckAccessSnapshotByName("User", "obj", "read").value(),
+              want);
+  };
+  // Warm the table with the pre-edit decision (denied via S5).
+  expect_user(Mode::kNegative);
   // Detach User from S5's group: the denial no longer reaches User.
   ASSERT_TRUE(system.RemoveMembership("S5", "User").ok());
-  EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(),
-            Mode::kPositive);
-  // And the reverse edit restores the denial — no stale cache either
+  expect_user(Mode::kPositive);
+  // And the reverse edit restores the denial — no stale memo either
   // way.
   ASSERT_TRUE(system.AddMembership("S5", "User").ok());
-  EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(),
-            Mode::kNegative);
+  expect_user(Mode::kNegative);
 }
 
-TEST(MutationInvalidationTest, BatchResolverInvalidateSubjectsIsScoped) {
-  AccessControlSystem system = MakeEnterpriseSystem();
-  const Strategy strategy = S("D+LP-");
-  const auto object = system.eacm().FindObject("doc");
-  const auto right = system.eacm().FindRight("read");
-  ASSERT_TRUE(object.ok() && right.ok());
-
-  BatchResolver resolver(system, /*threads=*/2);
-  std::vector<BatchResolver::Query> queries;
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    if (system.dag().children(v).empty()) {
-      queries.push_back({v, *object, *right});
-    }
-  }
-  ASSERT_TRUE(resolver.ResolveBatch(queries, strategy).ok());
-  const size_t subgraphs_before = resolver.subgraph_cache().size();
-  const size_t resolutions_before = resolver.resolution_cache().size();
-  ASSERT_GT(subgraphs_before, 0u);
-
-  const graph::NodeId churn = FindChurnUser(system.dag());
-  const std::string parent = system.dag().name(system.dag().parents(churn)[0]);
-  std::vector<graph::NodeId> affected;
-  ASSERT_TRUE(
-      system.RemoveMembership(parent, system.dag().name(churn), &affected)
-          .ok());
-  const size_t dropped = resolver.InvalidateSubjects(affected);
-  EXPECT_GE(dropped, 1u);
-  EXPECT_EQ(resolver.subgraph_cache().size(), subgraphs_before - 1);
-  EXPECT_EQ(resolver.resolution_cache().size(), resolutions_before - 1);
-
-  // Post-edit batch decisions match a resolver with no history.
-  auto warm = resolver.ResolveBatch(queries, strategy);
-  BatchResolver cold(system, /*threads=*/2);
-  auto fresh = cold.ResolveBatch(queries, strategy);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(*warm, *fresh);
-}
-
-TEST(MutationInvalidationTest, ApplyMutationsCoalescesOneSweep) {
+TEST(MutationInvalidationTest, ApplyMutationsCoalescesAffectedSets) {
   AccessControlSystem system = MakePaperSystem();
   system.SetStrategy(S("D+LP-"));
   ASSERT_TRUE(system.CheckAccessByName("User", "obj", "read").ok());
@@ -240,11 +94,13 @@ TEST(MutationInvalidationTest, ApplyMutationsCoalescesOneSweep) {
             Mode::kPositive);  // S5's denial detached.
 }
 
-TEST(MutationInvalidationTest, ApplyMutationsStopsAtFirstFailureButSweeps) {
+TEST(MutationInvalidationTest, ApplyMutationsStopsAtFirstFailureButPublishes) {
   AccessControlSystem system = MakePaperSystem();
   system.SetStrategy(S("D+LP-"));
-  // Warm a decision that op #1 affects, to prove the sweep still ran.
-  EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(),
+  system.EnableSnapshotReads();
+  // Warm a decision that op #1 affects, to prove the publication that
+  // follows the failed batch does not carry it.
+  EXPECT_EQ(system.CheckAccessSnapshotByName("User", "obj", "read").value(),
             Mode::kNegative);
 
   using Op = AccessControlSystem::MutationOp;
@@ -259,12 +115,41 @@ TEST(MutationInvalidationTest, ApplyMutationsStopsAtFirstFailureButSweeps) {
   EXPECT_EQ(stats.applied, 1u);
   EXPECT_EQ(stats.affected,
             std::vector<graph::NodeId>{system.dag().FindNode("User")});
-  // Op #1 stayed applied and its invalidation sweep ran: the query
+  // Op #1 stayed applied and was published: the snapshot query
   // reflects the new hierarchy, not the warm pre-batch decision.
+  EXPECT_EQ(system.CheckAccessSnapshotByName("User", "obj", "read").value(),
+            Mode::kPositive);
   EXPECT_EQ(system.CheckAccessByName("User", "obj", "read").value(),
             Mode::kPositive);
   // Op #3 was never applied.
   EXPECT_FALSE(system.eacm().FindRight("write").ok());
+}
+
+// `invalidated_entries` reports the decision-table entries the batch's
+// publication did not carry: User's one warm entry here. Without
+// snapshot reads there is no memo to drop from.
+TEST(MutationInvalidationTest, InvalidatedEntriesCountsUncarriedDecisions) {
+  using Op = AccessControlSystem::MutationOp;
+  const std::vector<Op> ops = {Op::RemoveMember("S5", "User")};
+
+  AccessControlSystem plain = MakePaperSystem();
+  plain.SetStrategy(S("D+LP-"));
+  ASSERT_TRUE(plain.CheckAccessByName("User", "obj", "read").ok());
+  AccessControlSystem::MutationBatchStats plain_stats;
+  ASSERT_TRUE(plain.ApplyMutations(ops, &plain_stats).ok());
+  EXPECT_EQ(plain_stats.invalidated_entries, 0u);
+
+  AccessControlSystem system = MakePaperSystem();
+  system.SetStrategy(S("D+LP-"));
+  system.EnableSnapshotReads();
+  // Warm User (affected by the edit) and S5 (not affected).
+  ASSERT_TRUE(system.CheckAccessSnapshotByName("User", "obj", "read").ok());
+  ASSERT_TRUE(system.CheckAccessSnapshotByName("S5", "obj", "read").ok());
+  AccessControlSystem::MutationBatchStats stats;
+  ASSERT_TRUE(system.ApplyMutations(ops, &stats).ok());
+  EXPECT_EQ(stats.invalidated_entries, 1u);
+  EXPECT_EQ(system.snapshots()->Pin()->resolution.size(), 1u)
+      << "S5's decision must carry into the new epoch";
 }
 
 // The partial-failure report names the failing position and kind —

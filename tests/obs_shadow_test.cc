@@ -2,7 +2,8 @@
 // core::ShadowVerifyDecision, DESIGN.md §9): sampling cadence, the
 // agreeing steady state (checks counted, zero mismatches), and — via
 // the perturbed-oracle hook — that a genuine fast/classic divergence
-// is counted, retained with both Fig. 4 derivations, and audit-logged.
+// is counted, retained with both Fig. 4 derivations, and audit-logged,
+// on the ResolveAccess path and on the snapshot serving path.
 
 #include "obs/shadow.h"
 
@@ -15,6 +16,7 @@
 
 #include "core/paper_example.h"
 #include "core/resolve.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
@@ -43,14 +45,42 @@ struct Fixture {
   core::PaperExample ex;
 };
 
-/// Runs one fast-path ResolveAccess with shadowing forced on for
-/// exactly that query, then disables it again.
-acm::Mode ResolveShadowed(Fixture& f, const core::Strategy& strategy) {
+/// The ways a fast-path decision reaches the oracle: a direct
+/// ResolveAccess, and the serving path — a decision-table miss on a
+/// fresh epoch snapshot, its sink bag composed from the reachability
+/// index or propagated over an extraction.
+enum class Path { kResolveAccess, kSnapshotIndexed, kSnapshotExtracted };
+
+/// Runs one fast-path query with shadowing forced on for exactly that
+/// query, then disables it again. A snapshot path also re-reads the
+/// triple, a decision-table hit, which has no derivation to shadow.
+acm::Mode ResolveShadowed(Fixture& f, const core::Strategy& strategy,
+                          Path path = Path::kResolveAccess) {
+  std::unique_ptr<const core::HierarchySnapshot> snapshot;
+  if (path != Path::kResolveAccess) {
+    snapshot = core::BuildSnapshot(
+        f.ex.dag, f.ex.eacm, strategy, core::PropagationMode::kBoth,
+        /*epoch=*/1, /*previous=*/nullptr, /*resolution_capacity=*/64,
+        path == Path::kSnapshotIndexed
+            ? graph::ReachabilityIndex::Build(f.ex.dag, f.ex.eacm.epoch(),
+                                              f.ex.eacm.ReachRows())
+            : nullptr);
+  }
   ShadowVerifier::Global().SetInterval(1);
-  ResolveAccessOptions options;
-  options.use_fast_path = true;
-  auto mode = ResolveAccess(f.ex.dag, f.ex.eacm, f.ex.user, f.ex.obj,
-                            f.ex.read, strategy.Canonical(), options);
+  StatusOr<acm::Mode> mode = Status::Internal("unset");
+  if (path == Path::kResolveAccess) {
+    ResolveAccessOptions options;
+    options.use_fast_path = true;
+    mode = ResolveAccess(f.ex.dag, f.ex.eacm, f.ex.user, f.ex.obj, f.ex.read,
+                         strategy.Canonical(), options);
+  } else {
+    mode = core::SnapshotResolveAccess(*snapshot, f.ex.user, f.ex.obj,
+                                       f.ex.read, strategy);
+    const auto hit = core::SnapshotResolveAccess(*snapshot, f.ex.user,
+                                                 f.ex.obj, f.ex.read,
+                                                 strategy);
+    EXPECT_TRUE(hit.ok() && mode.ok() && *hit == *mode);
+  }
   ShadowVerifier::Global().SetInterval(0);
   EXPECT_TRUE(mode.ok());
   return *mode;
@@ -71,41 +101,48 @@ TEST(ObsShadowTest, SamplesEveryNthQueryPerThread) {
 TEST(ObsShadowTest, AgreeingEnginesCountChecksAndNoMismatches) {
   ShadowVerifier::Global().Clear();
   Fixture f;
-  for (const char* mnemonic : {"D+LP-", "P+", "N-", "D-GN+"}) {
-    ResolveShadowed(f, ParseStrategy(mnemonic).value());
+  for (const Path path : {Path::kResolveAccess, Path::kSnapshotIndexed,
+                          Path::kSnapshotExtracted}) {
+    for (const char* mnemonic : {"D+LP-", "P+", "N-", "D-GN+"}) {
+      ResolveShadowed(f, ParseStrategy(mnemonic).value(), path);
+    }
   }
-  EXPECT_EQ(ShadowVerifier::Global().checks_total(), 4u);
+  EXPECT_EQ(ShadowVerifier::Global().checks_total(), 12u);
   EXPECT_EQ(ShadowVerifier::Global().mismatch_total(), 0u);
   EXPECT_TRUE(ShadowVerifier::Global().RecentMismatches().empty());
 }
 
 TEST(ObsShadowTest, PerturbedOracleProvesDivergenceIsCaught) {
-  ShadowVerifier::Global().Clear();
-  Fixture f;
-  const core::Strategy strategy = ParseStrategy("D+LP-").value();
+  for (const Path path : {Path::kResolveAccess, Path::kSnapshotIndexed,
+                          Path::kSnapshotExtracted}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    ShadowVerifier::Global().Clear();
+    Fixture f;
+    const core::Strategy strategy = ParseStrategy("D+LP-").value();
 
-  ShadowVerifier::Global().SetPerturbOracleForTesting(true);
-  const acm::Mode fast_mode = ResolveShadowed(f, strategy);
-  ShadowVerifier::Global().SetPerturbOracleForTesting(false);
+    ShadowVerifier::Global().SetPerturbOracleForTesting(true);
+    const acm::Mode fast_mode = ResolveShadowed(f, strategy, path);
+    ShadowVerifier::Global().SetPerturbOracleForTesting(false);
 
-  EXPECT_EQ(ShadowVerifier::Global().checks_total(), 1u);
-  ASSERT_EQ(ShadowVerifier::Global().mismatch_total(), 1u);
-  const std::vector<ShadowVerifier::Mismatch> dump =
-      ShadowVerifier::Global().RecentMismatches();
-  ASSERT_EQ(dump.size(), 1u);
-  const ShadowVerifier::Mismatch& m = dump[0];
-  EXPECT_EQ(m.subject, f.ex.user);
-  EXPECT_EQ(m.object, f.ex.obj);
-  EXPECT_EQ(m.right, f.ex.read);
-  EXPECT_EQ(m.strategy_index, strategy.Canonical().CanonicalIndex());
-  EXPECT_EQ(m.fast_granted, fast_mode == acm::Mode::kPositive);
-  EXPECT_NE(m.fast_granted, m.oracle_granted);
-  // Both derivations are rendered so the dump alone explains the
-  // divergence (compact Fig. 4 form: counters, Auth set, line).
-  EXPECT_NE(m.fast_derivation.find("line="), std::string::npos)
-      << m.fast_derivation;
-  EXPECT_NE(m.oracle_derivation.find("line="), std::string::npos)
-      << m.oracle_derivation;
+    EXPECT_EQ(ShadowVerifier::Global().checks_total(), 1u);
+    ASSERT_EQ(ShadowVerifier::Global().mismatch_total(), 1u);
+    const std::vector<ShadowVerifier::Mismatch> dump =
+        ShadowVerifier::Global().RecentMismatches();
+    ASSERT_EQ(dump.size(), 1u);
+    const ShadowVerifier::Mismatch& m = dump[0];
+    EXPECT_EQ(m.subject, f.ex.user);
+    EXPECT_EQ(m.object, f.ex.obj);
+    EXPECT_EQ(m.right, f.ex.read);
+    EXPECT_EQ(m.strategy_index, strategy.Canonical().CanonicalIndex());
+    EXPECT_EQ(m.fast_granted, fast_mode == acm::Mode::kPositive);
+    EXPECT_NE(m.fast_granted, m.oracle_granted);
+    // Both derivations are rendered so the dump alone explains the
+    // divergence (compact Fig. 4 form: counters, Auth set, line).
+    EXPECT_NE(m.fast_derivation.find("line="), std::string::npos)
+        << m.fast_derivation;
+    EXPECT_NE(m.oracle_derivation.find("line="), std::string::npos)
+        << m.oracle_derivation;
+  }
 }
 
 TEST(ObsShadowTest, MismatchEmitsAuditEventWithBothDerivations) {

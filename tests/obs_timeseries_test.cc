@@ -214,10 +214,11 @@ TEST(ObsTimeseriesTest, ExemplarResolvesToFullFig4Trace) {
   QueryTracer::Global().SetSampleInterval(previous);
   ASSERT_TRUE(mode.ok());
 
-  // The system-path latency histogram must now hold >= 1 exemplar
-  // whose trace id resolves to a retained tracer record.
+  // The facade resolves through ResolveAccess, whose latency histogram
+  // must now hold >= 1 exemplar whose trace id resolves to a retained
+  // tracer record.
   Histogram& latency = Registry::Global().GetHistogram(
-      "ucr_system_query_latency_ns", "");
+      "ucr_resolve_latency_ns", "");
   bool linked = false;
   for (const Histogram::Exemplar& e : latency.SnapExemplars()) {
     if (!e.valid) continue;

@@ -126,16 +126,17 @@ TEST(ObsTraceTest, SampledTraceReproducesFig4OnPaperExample) {
   tracer.Clear();
 }
 
-// The system front door (CheckAccess) records the same derivation,
-// plus cache interactions: a repeat query is a resolution-cache hit
-// with no Fig. 4 payload of its own.
-TEST(ObsTraceTest, SystemQueriesRecordCacheInteractions) {
+// The serving front door (CheckAccessSnapshot) records the same
+// derivation, plus the decision-table interaction: a repeat query is a
+// table hit with no Fig. 4 payload of its own.
+TEST(ObsTraceTest, SnapshotQueriesRecordTableInteractions) {
   core::PaperExample ex = core::MakePaperExample();
   core::AccessControlSystem system(std::move(ex.dag));
   ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
   ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
   ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
   system.SetStrategy(core::ParseStrategy("D+LP-").value());
+  system.EnableSnapshotReads();
 
   QueryTracer& tracer = QueryTracer::Global();
   ResetSamplingState(tracer);
@@ -143,7 +144,7 @@ TEST(ObsTraceTest, SystemQueriesRecordCacheInteractions) {
   tracer.Clear();
 
   for (int repeat = 0; repeat < 2; ++repeat) {
-    const auto mode = system.CheckAccessByName("User", "obj", "read");
+    const auto mode = system.CheckAccessSnapshotByName("User", "obj", "read");
     ASSERT_TRUE(mode.ok());
     // Paper Table 2, strategy D+LP-: the preference rule settles the
     // {+,-} conflict in favour of '-'.

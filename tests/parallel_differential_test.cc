@@ -1,8 +1,9 @@
 // Differential tests for the parallel query-evaluation layer: every
 // parallel path (EffectiveMatrix::Materialize/Refresh with threads,
-// BatchResolver, CheckAccessBatch) must produce decisions bit-identical
-// to the serial engines — for all 48 canonical strategies, on the
-// paper's Fig. 1 example and on a generated enterprise hierarchy.
+// BatchResolver over a pinned snapshot, CheckAccessBatch) must produce
+// decisions bit-identical to the serial engines — for all 48 canonical
+// strategies, on the paper's Fig. 1 example and on a generated
+// enterprise hierarchy.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,12 @@
 #include "core/batch_resolver.h"
 #include "core/effective_matrix.h"
 #include "core/paper_example.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
+#include "obs/metrics.h"
 #include "workload/query_stream.h"
 
 namespace ucr::core {
@@ -86,7 +89,11 @@ void ExpectMatrixMatchesSerial(AccessControlSystem& system) {
 
 void ExpectBatchMatchesSerial(AccessControlSystem& system,
                               std::span<const BatchResolver::Query> queries) {
-  BatchResolver resolver(system, /*threads=*/4);
+  system.EnableSnapshotReads();
+  const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+  BatchResolverOptions options;
+  options.threads = 4;
+  BatchResolver resolver(*pin, options);
   for (const Strategy& strategy : AllStrategies()) {
     auto batched = resolver.ResolveBatch(queries, strategy);
     ASSERT_TRUE(batched.ok());
@@ -188,7 +195,9 @@ TEST(ParallelDifferentialTest, CheckAccessBatchParallelMatchesInline) {
   }
 }
 
-TEST(ParallelDifferentialTest, BatchResolverCachesStayWarmAcrossBatches) {
+#if UCR_METRICS_ENABLED
+
+TEST(ParallelDifferentialTest, BatchResolverTableStaysWarmAcrossBatches) {
   AccessControlSystem system = MakeEnterpriseSystem();
   workload::QueryStreamOptions stream;
   stream.count = 400;
@@ -196,14 +205,25 @@ TEST(ParallelDifferentialTest, BatchResolverCachesStayWarmAcrossBatches) {
   auto queries =
       workload::GenerateQueryStream(system.dag(), system.eacm(), stream);
   ASSERT_TRUE(queries.ok());
-  BatchResolver resolver(system, /*threads=*/4);
+  system.EnableSnapshotReads();
+  const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+  BatchResolverOptions options;
+  options.threads = 4;
+  BatchResolver resolver(*pin, options);
+  obs::Counter& hits = obs::Registry::Global().GetCounter(
+      "ucr_snapshot_resolution_hits_total", "");
+  obs::Counter& misses = obs::Registry::Global().GetCounter(
+      "ucr_snapshot_resolution_misses_total", "");
   ASSERT_TRUE(resolver.ResolveBatch(*queries, S("D+LP-")).ok());
-  const uint64_t misses_after_first = resolver.resolution_cache().stats().misses;
+  const uint64_t misses_after_first = misses.Value();
+  const uint64_t hits_after_first = hits.Value();
   ASSERT_TRUE(resolver.ResolveBatch(*queries, S("D+LP-")).ok());
-  EXPECT_EQ(resolver.resolution_cache().stats().misses, misses_after_first)
-      << "replaying the same batch must be all hits";
-  EXPECT_GT(resolver.resolution_cache().stats().hits, 0u);
+  EXPECT_EQ(misses.Value(), misses_after_first)
+      << "replaying the same batch must be all table hits";
+  EXPECT_EQ(hits.Value() - hits_after_first, queries->size());
 }
+
+#endif  // UCR_METRICS_ENABLED
 
 }  // namespace
 }  // namespace ucr::core

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "core/system.h"
 #include "graph/generators.h"
 #include "util/random.h"
+#include "workload/enterprise.h"
 
 namespace ucr::core {
 namespace {
@@ -244,8 +247,59 @@ TEST(SnapshotDifferentialTest, FacadeAgreesAcrossMutations) {
   EXPECT_FALSE(system.CheckAccessSnapshotByName("nobody", "obj", "read").ok());
 }
 
+/// Every decision-table entry of `snapshot`, keyed by packed triple and
+/// strategy.
+struct TableEntry {
+  graph::NodeId subject;
+  acm::ObjectId object;
+  acm::RightId right;
+  uint8_t strategy;
+  Mode mode;
+};
+
+std::vector<TableEntry> TableEntries(const HierarchySnapshot& snapshot) {
+  std::vector<TableEntry> entries;
+  snapshot.resolution.ForEach([&](graph::NodeId s, acm::ObjectId o,
+                                  acm::RightId r, uint8_t strategy, Mode m) {
+    entries.push_back({s, o, r, strategy, m});
+  });
+  return entries;
+}
+
+/// Asserts the carry-over from `previous` into `next` was exact: an
+/// entry is dropped iff `dropped(entry)`, and every other entry is in
+/// `next` with its decision unchanged.
+template <typename DroppedFn>
+void ExpectExactCarryOver(const HierarchySnapshot& previous,
+                          const HierarchySnapshot& next,
+                          const SnapshotBuildStats& stats,
+                          const DroppedFn& dropped) {
+  size_t expected_dropped = 0;
+  size_t expected_carried = 0;
+  for (const TableEntry& e : TableEntries(previous)) {
+    const std::optional<Mode> carried =
+        next.resolution.Lookup(e.subject, e.object, e.right, e.strategy);
+    if (dropped(e)) {
+      ++expected_dropped;
+      EXPECT_FALSE(carried.has_value())
+          << "stale entry carried for subject " << previous.dag.name(e.subject);
+    } else {
+      ++expected_carried;
+      ASSERT_TRUE(carried.has_value())
+          << "entry lost for subject " << previous.dag.name(e.subject);
+      EXPECT_EQ(*carried, e.mode);
+    }
+  }
+  EXPECT_GT(expected_dropped, 0u);
+  EXPECT_GT(expected_carried, 0u);
+  EXPECT_EQ(stats.resolution_dropped, expected_dropped);
+  EXPECT_EQ(stats.resolution_carried, expected_carried);
+  EXPECT_EQ(next.resolution.size(), expected_carried);
+}
+
 /// Carry-over correctness: decisions warmed into epoch N+1 from epoch
-/// N's table must be exactly the still-derivable ones.
+/// N's table must be exactly the still-derivable ones — a rights edit
+/// on one column drops that column's entries and nothing else.
 TEST(SnapshotDifferentialTest, CarryOverOnlyKeepsDerivableState) {
   PaperExample ex = MakePaperExample();
   AccessControlSystem system(std::move(ex.dag));
@@ -269,18 +323,113 @@ TEST(SnapshotDifferentialTest, CarryOverOnlyKeepsDerivableState) {
   }
   ASSERT_GT(first->resolution.size(), 0u);
 
-  // Mutate one column ("obj", "read"): its entries must drop, the
-  // ("doc", "write") column must carry.
+  // Mutate one column ("obj", "read"): exactly its entries must drop,
+  // every other column's must carry.
   ASSERT_TRUE(system.DenyAccess("S4", "obj", "read").ok());
+  const acm::ObjectId obj = system.eacm().FindObject("obj").value();
+  const acm::RightId read = system.eacm().FindRight("read").value();
   SnapshotBuildStats stats;
   auto second = BuildSnapshot(system.dag(), system.eacm(), system.strategy(),
                               PropagationMode::kBoth, /*epoch=*/2, first.get(),
                               /*resolution_capacity=*/1 << 12,
                               /*reach_index=*/nullptr, &stats);
-  EXPECT_GT(stats.resolution_carried, 0u);
-  EXPECT_GT(stats.resolution_dropped, 0u);
+  ExpectExactCarryOver(*first, *second, stats, [&](const TableEntry& e) {
+    return e.object == obj && e.right == read;
+  });
   // Whatever carried must still produce oracle-identical decisions.
   ExpectSnapshotAgrees(*second);
+}
+
+/// Carry-over scoping of a hierarchy edit: one leaf membership edit on
+/// an enterprise hierarchy drops exactly the affected set's entries,
+/// carries every other one, and the edited subject resolves to its new
+/// decision in the next epoch.
+TEST(SnapshotDifferentialTest, LeafMembershipEditDropsExactlyAffectedEntries) {
+  Random rng(7);
+  workload::EnterpriseOptions shape;
+  shape.individuals = 300;
+  shape.groups = 700;
+  shape.top_level_groups = 10;
+  shape.target_edges = 2600;
+  auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  AccessControlSystem system(std::move(dag).value());
+  Random labels(8);
+  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+    if (!labels.Bernoulli(0.02)) continue;
+    const std::string& name = system.dag().name(v);
+    ASSERT_TRUE((labels.Bernoulli(0.3) ? system.DenyAccess(name, "doc", "read")
+                                       : system.Grant(name, "doc", "read"))
+                    .ok());
+  }
+  const acm::ObjectId doc = system.eacm().FindObject("doc").value();
+  const acm::RightId read = system.eacm().FindRight("read").value();
+  const Strategy strategy = ParseStrategy("D+LP-").value();
+
+  // A leaf (sink with a parent) whose edit flips its decision, found
+  // by trying each detach on the master state and undoing it — before
+  // the first snapshot, so the probes' generation stamps predate it.
+  graph::NodeId leaf = graph::kInvalidNode;
+  std::string parent;
+  for (graph::NodeId v = 0;
+       v < system.dag().node_count() && leaf == graph::kInvalidNode; ++v) {
+    if (!system.dag().children(v).empty()) continue;
+    const std::string child = system.dag().name(v);
+    const Mode was = system.CheckAccess(v, doc, read, strategy).value();
+    const std::vector<graph::NodeId> parents(system.dag().parents(v).begin(),
+                                             system.dag().parents(v).end());
+    for (const graph::NodeId p : parents) {
+      const std::string name = system.dag().name(p);
+      ASSERT_TRUE(system.RemoveMembership(name, child).ok());
+      const bool flips =
+          system.CheckAccess(v, doc, read, strategy).value() != was;
+      ASSERT_TRUE(system.AddMembership(name, child).ok());
+      if (flips) {
+        leaf = v;
+        parent = name;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(leaf, graph::kInvalidNode) << "no decision-flipping leaf edit";
+
+  // Warm every subject under two strategies.
+  auto first = BuildSnapshot(system.dag(), system.eacm(), strategy,
+                             PropagationMode::kBoth, /*epoch=*/1, nullptr,
+                             /*resolution_capacity=*/1 << 14);
+  for (graph::NodeId v = 0; v < first->dag.node_count(); ++v) {
+    for (const char* mnemonic : {"D+LP-", "MP+"}) {
+      ASSERT_TRUE(SnapshotResolveAccess(*first, v, doc, read,
+                                        ParseStrategy(mnemonic).value())
+                      .ok());
+    }
+  }
+  ASSERT_EQ(first->resolution.size(), 2 * first->dag.node_count());
+  const Mode before = *first->resolution.Lookup(
+      leaf, doc, read, strategy.Canonical().CanonicalIndex());
+
+  std::vector<graph::NodeId> affected;
+  ASSERT_TRUE(
+      system.RemoveMembership(parent, system.dag().name(leaf), &affected)
+          .ok());
+  ASSERT_EQ(affected, std::vector<graph::NodeId>{leaf});
+
+  SnapshotBuildStats stats;
+  auto second = BuildSnapshot(system.dag(), system.eacm(), strategy,
+                              PropagationMode::kBoth, /*epoch=*/2, first.get(),
+                              /*resolution_capacity=*/1 << 14,
+                              /*reach_index=*/nullptr, &stats);
+  ExpectExactCarryOver(*first, *second, stats, [&](const TableEntry& e) {
+    return e.subject == leaf;
+  });
+
+  const auto after = SnapshotResolveAccess(*second, leaf, doc, read, strategy);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(*after, before);
+  ResolveAccessOptions classic;
+  classic.use_fast_path = false;
+  EXPECT_EQ(*after, *ResolveAccess(system.dag(), system.eacm(), leaf, doc,
+                                   read, strategy, classic));
 }
 
 }  // namespace
