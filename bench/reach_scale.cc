@@ -17,13 +17,15 @@
 //   incremental  RebuildIncremental latency across sink-level
 //                membership edits (the "new hire" write path)
 //   indexed_after  indexed queries against the last rebuilt generation
+//   reach_query  graph::ReachQuery built on demand (build_ms, two_hop)
+//                and Reaches(root, sink) latency; boolean reachability
+//                is not part of the index or its write path
 //
 // The run aborts on any indexed-vs-classic decision divergence, so the
 // smoke run doubles as a correctness gate. --smoke shrinks the graph
 // to 2^16 nodes. (This shape is too densely reachable for the 2-hop
 // labels at either size — the budget abort is itself exercised — so
-// `Reaches` would use the interval-filtered traversal; the profile
-// labels the bench measures are unaffected.)
+// `Reaches` uses the interval-filtered traversal.)
 
 #include <algorithm>
 #include <cstdio>
@@ -37,6 +39,7 @@
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/generators.h"
+#include "graph/reach_query.h"
 #include "graph/reachability.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -249,11 +252,10 @@ int main(int argc, char** argv) {
   std::printf(
       "JSON {\"bench\":\"reach_scale\",\"section\":\"build\",\"nodes\":%zu,"
       "\"queries\":1,\"millis\":%.3f,\"qps\":%.3f,\"supernodes\":%zu,"
-      "\"folded_nodes\":%zu,\"label_entries\":%zu,\"label_bytes\":%zu,"
-      "\"two_hop\":%s}\n",
+      "\"folded_nodes\":%zu,\"label_entries\":%zu,\"label_bytes\":%zu}\n",
       kNodes, build_ms, build_ms > 0.0 ? 1e3 / build_ms : 0.0,
       istats.supernodes, istats.folded_nodes, istats.label_entries,
-      istats.label_bytes, istats.two_hop_ready ? "true" : "false");
+      istats.label_bytes);
 
   // -- indexed -------------------------------------------------------
   core::ResolveAccessOptions indexed_options;
@@ -344,6 +346,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -- reach_query ---------------------------------------------------
+  // Does some first-layer root reach the sampled sink? Each miss walks
+  // the root's filtered cone, so a few queries suffice.
+  const uint64_t t_reach = obs::NowNs();
+  const graph::ReachQuery reach_query(w.dag);
+  const double reach_build_ms =
+      static_cast<double>(obs::NowNs() - t_reach) / 1e6;
+  const size_t layer0_end = kNodes / kLayers;
+  latencies.clear();
+  size_t reached = 0;
+  for (size_t i = 0; i < kVerifyQueries; ++i) {
+    const auto root = static_cast<graph::NodeId>(rng.Uniform(layer0_end));
+    const uint64_t t0 = obs::NowNs();
+    if (reach_query.Reaches(root, subjects[i])) ++reached;
+    latencies.push_back(obs::NowNs() - t0);
+  }
+  const SectionResult reach = Summarize(latencies);
+  std::printf(
+      "JSON {\"bench\":\"reach_scale\",\"section\":\"reach_query\","
+      "\"nodes\":%zu,\"queries\":%llu,\"millis\":%.3f,\"p50_ns\":%llu,"
+      "\"p99_ns\":%llu,\"build_ms\":%.3f,\"two_hop\":%s,\"reached\":%zu}\n",
+      kNodes, static_cast<unsigned long long>(reach.count), reach.millis,
+      static_cast<unsigned long long>(reach.p50_ns),
+      static_cast<unsigned long long>(reach.p99_ns), reach_build_ms,
+      reach_query.two_hop_ready() ? "true" : "false", reached);
+
   TablePrinter table({"section", "count", "total ms", "p50 us", "p99 us"});
   auto add_row = [&](const char* name, const SectionResult& r) {
     table.AddRow({name, std::to_string(r.count),
@@ -355,6 +383,7 @@ int main(int argc, char** argv) {
   add_row("classic", classic);
   add_row("incremental", incremental);
   add_row("indexed_after", indexed_after);
+  add_row("reach_query", reach);
   std::cout << "\n" << table.ToString() << "\n";
 
   bench_obs::EmitMetricsSnapshot("reach_scale");

@@ -44,9 +44,8 @@ void CountMutation() {
 
 template <typename IdType>
 StatusOr<IdType> Intern(std::string_view name, std::vector<std::string>& names,
-                        std::unordered_map<std::string, IdType>& ids,
-                        const char* kind) {
-  auto it = ids.find(std::string(name));
+                        StringMap<IdType>& ids, const char* kind) {
+  auto it = ids.find(name);
   if (it != ids.end()) return it->second;
   if (names.size() > static_cast<size_t>(UINT16_MAX)) {
     return Status::OutOfRange(std::string(kind) + " id space exhausted");
@@ -68,7 +67,7 @@ StatusOr<RightId> ExplicitAcm::InternRight(std::string_view name) {
 }
 
 StatusOr<ObjectId> ExplicitAcm::FindObject(std::string_view name) const {
-  auto it = object_ids_.find(std::string(name));
+  auto it = object_ids_.find(name);
   if (it == object_ids_.end()) {
     return Status::NotFound("object '" + std::string(name) + "'");
   }
@@ -76,7 +75,7 @@ StatusOr<ObjectId> ExplicitAcm::FindObject(std::string_view name) const {
 }
 
 StatusOr<RightId> ExplicitAcm::FindRight(std::string_view name) const {
-  auto it = right_ids_.find(std::string(name));
+  auto it = right_ids_.find(name);
   if (it == right_ids_.end()) {
     return Status::NotFound("right '" + std::string(name) + "'");
   }

@@ -13,6 +13,7 @@
 #include "graph/dag.h"
 #include "graph/reachability.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace ucr::acm {
 
@@ -177,8 +178,8 @@ class ExplicitAcm {
 
   std::vector<std::string> objects_;
   std::vector<std::string> rights_;
-  std::unordered_map<std::string, ObjectId> object_ids_;
-  std::unordered_map<std::string, RightId> right_ids_;
+  StringMap<ObjectId> object_ids_;
+  StringMap<RightId> right_ids_;
   static uint32_t ColumnKey(ObjectId o, RightId r) {
     return (static_cast<uint32_t>(o) << 16) | static_cast<uint32_t>(r);
   }

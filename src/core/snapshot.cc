@@ -498,12 +498,25 @@ std::unique_ptr<const HierarchySnapshot> BuildSnapshot(
     std::shared_ptr<const graph::ReachabilityIndex> reach_index,
     SnapshotBuildStats* stats) {
   const uint64_t t0 = obs::kEnabled ? obs::NowNs() : 0;
-  // The sub-graph table is subject-keyed, so node count bounds its
-  // useful size; the cap keeps a worst-case snapshot's slot array at
-  // 16 MiB even for very large hierarchies.
-  const size_t subgraph_capacity =
-      std::min<size_t>(RoundUpPow2(std::max<size_t>(dag.node_count(), 256)),
-                       size_t{1} << 20);
+  // The sub-graph table is sized by use, like the resolution table:
+  // start small and double on publish once the previous epoch's table
+  // was more than half full. Reads touch it only when the index is
+  // unusable, so a node-count-sized table would be allocated and freed
+  // on every publish for nothing. Node count still bounds its useful
+  // size (it is subject-keyed), and the cap keeps a worst-case
+  // snapshot's slot array at 16 MiB.
+  constexpr size_t kMinSubgraphCapacity = 256;
+  const size_t subgraph_limit = std::min<size_t>(
+      RoundUpPow2(std::max(dag.node_count(), kMinSubgraphCapacity)),
+      size_t{1} << 20);
+  size_t subgraph_capacity = kMinSubgraphCapacity;
+  if (previous != nullptr) {
+    subgraph_capacity = previous->subgraphs.capacity();
+    if (previous->subgraphs.size() * 2 > subgraph_capacity) {
+      subgraph_capacity *= 2;
+    }
+  }
+  subgraph_capacity = std::min(subgraph_capacity, subgraph_limit);
   auto snapshot = std::make_unique<HierarchySnapshot>(
       epoch, dag, eacm, default_strategy, propagation_mode,
       resolution_capacity, subgraph_capacity, std::move(reach_index));

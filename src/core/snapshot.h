@@ -193,8 +193,12 @@ class EpochSubgraphTable {
 /// mode, and the per-epoch decision/sub-graph tables (DESIGN.md §11).
 ///
 /// Readers holding a pin may touch every member without
-/// synchronization: the graph and matrix are private copies that no
-/// writer ever mutates, and the tables are lock-free and only fill.
+/// synchronization: the graph and matrix are copies that no writer
+/// ever mutates (the graph's name table and the index's label pools
+/// are shared with the writer, which never writes a shared one — it
+/// clones the name table before appending, and each index generation
+/// writes only a pool of its own), and the tables are lock-free and
+/// only fill.
 struct HierarchySnapshot {
   HierarchySnapshot(
       uint64_t epoch_in, graph::Dag dag_in, acm::ExplicitAcm eacm_in,

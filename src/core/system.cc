@@ -240,7 +240,7 @@ Status AccessControlSystem::MutateMembership(
                    std::string(parent) + " -> " + std::string(child),
                    edit_affected.size());
   }
-  if (options_.use_reachability_index) {
+  if (ReachDirtTracked()) {
     reach_dirty_affected_.insert(reach_dirty_affected_.end(),
                                  edit_affected.begin(), edit_affected.end());
   }
@@ -251,8 +251,16 @@ Status AccessControlSystem::MutateMembership(
   return Status::OK();
 }
 
+bool AccessControlSystem::ReachDirtTracked() const {
+  // Dirt only scopes an incremental rebuild, which needs a ready
+  // generation to derive from; without one the next refresh is a full
+  // Build that ignores it (every WAL replay batch in Open, for one).
+  return options_.use_reachability_index && reach_index_ != nullptr &&
+         reach_index_->ready();
+}
+
 void AccessControlSystem::NoteRightsEdit(graph::NodeId subject) {
-  if (!options_.use_reachability_index) return;
+  if (!ReachDirtTracked()) return;
   reach_dirty_rows_.push_back(subject);
   // A row edit can re-class `subject`, changing the profile labels of
   // every node that can see it: itself plus its hierarchy descendants

@@ -408,6 +408,10 @@ class AccessControlSystem {
   /// when the index is current or `use_reachability_index` is off.
   void EnsureReachIndexCurrent();
 
+  /// True when edits must record reach-index dirt: only a ready
+  /// generation is rebuilt incrementally from it.
+  bool ReachDirtTracked() const;
+
   /// Records reach-index dirt after one applied rights edit: the
   /// subject's row changed, which can re-class it and therefore
   /// relabel everything that can see it (its descendants).

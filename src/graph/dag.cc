@@ -5,9 +5,27 @@
 
 namespace ucr::graph {
 
+namespace {
+
+/// Visited marks for `DescendantsOf`, reused across calls (and graphs):
+/// a mark is current iff it equals `epoch`, so a call costs its output,
+/// not a node-count-sized allocation and clear.
+struct DescendantScratch {
+  uint32_t epoch = 0;
+  std::vector<uint32_t> mark;
+
+  static DescendantScratch& ThreadLocal() {
+    thread_local DescendantScratch scratch;
+    return scratch;
+  }
+};
+
+}  // namespace
+
 NodeId Dag::FindNode(std::string_view node_name) const {
-  auto it = name_to_id_.find(std::string(node_name));
-  return it == name_to_id_.end() ? kInvalidNode : it->second;
+  if (names_ == nullptr) return kInvalidNode;
+  const auto it = names_->ids.find(node_name);
+  return it == names_->ids.end() ? kInvalidNode : it->second;
 }
 
 std::vector<NodeId> Dag::Roots() const {
@@ -56,14 +74,22 @@ std::vector<NodeId> Dag::TopologicalOrder() const {
 }
 
 std::vector<NodeId> Dag::DescendantsOf(NodeId start) const {
+  DescendantScratch& scratch = DescendantScratch::ThreadLocal();
+  if (scratch.mark.size() < node_count()) {
+    scratch.mark.resize(node_count(), 0);
+  }
+  if (++scratch.epoch == 0) {  // Wrapped: stale marks could now match.
+    std::fill(scratch.mark.begin(), scratch.mark.end(), 0);
+    scratch.epoch = 1;
+  }
+  const uint32_t epoch = scratch.epoch;
   std::vector<NodeId> out;
-  std::vector<uint8_t> seen(node_count(), 0);
   out.push_back(start);
-  seen[start] = 1;
+  scratch.mark[start] = epoch;
   for (size_t i = 0; i < out.size(); ++i) {
     for (NodeId c : children(out[i])) {
-      if (!seen[c]) {
-        seen[c] = 1;
+      if (scratch.mark[c] != epoch) {
+        scratch.mark[c] = epoch;
         out.push_back(c);
       }
     }
@@ -126,22 +152,20 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
     return corrupt("duplicate edge");
   }
 
-  std::unordered_map<std::string, NodeId> name_to_id;
-  name_to_id.reserve(n);
+  auto table = std::make_shared<NameTable>();
+  table->ids.reserve(n);
   for (size_t v = 0; v < n; ++v) {
-    if (!name_to_id.try_emplace(names[v], static_cast<NodeId>(v)).second) {
+    if (!table->ids.try_emplace(names[v], static_cast<NodeId>(v)).second) {
       return corrupt("duplicate node name");
     }
   }
+  table->names = std::move(names);
 
   Dag dag;
   dag.edge_count_ = children.size();
-  dag.names_ = std::move(names);
-  dag.name_to_id_ = std::move(name_to_id);
-  dag.child_offsets_ = std::move(child_offsets);
-  dag.children_ = std::move(children);
-  dag.parent_offsets_ = std::move(parent_offsets);
-  dag.parents_ = std::move(parents);
+  dag.names_ = std::move(table);
+  dag.children_ = Adjacency::FromOffsets(child_offsets, std::move(children));
+  dag.parents_ = Adjacency::FromOffsets(parent_offsets, std::move(parents));
   dag.node_generations_.assign(n, 0);
 
   // Acyclicity last, on the assembled graph: Kahn's completes iff the
@@ -152,25 +176,86 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
   return dag;
 }
 
+Dag::Adjacency Dag::Adjacency::FromOffsets(const std::vector<size_t>& offsets,
+                                           std::vector<NodeId> pool) {
+  Adjacency adj;
+  adj.ranges_.reserve(offsets.size() - 1);
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    const auto len = static_cast<uint32_t>(offsets[v + 1] - offsets[v]);
+    adj.ranges_.push_back(Range{offsets[v], len, len});
+  }
+  adj.pool_ = std::move(pool);
+  return adj;
+}
+
+void Dag::Adjacency::Append(NodeId v, NodeId id, size_t live) {
+  Range& r = ranges_[v];
+  if (r.len == r.cap) {
+    // Out of slack: move the list to the pool's end with room to grow
+    // (doubling keeps a growing list's moves amortized O(1) per id).
+    const size_t begin = pool_.size();
+    const uint32_t cap = std::max<uint32_t>(4, 2 * r.len);
+    pool_.resize(begin + cap);
+    std::copy_n(pool_.begin() + static_cast<ptrdiff_t>(r.begin), r.len,
+                pool_.begin() + static_cast<ptrdiff_t>(begin));
+    r.begin = begin;
+    r.cap = cap;
+  }
+  pool_[r.begin + r.len++] = id;
+  // Holes (abandoned ranges and slack) beyond half the pool: a repack
+  // costs O(V + E) and needs Omega(E) pool growth to trigger again.
+  if (pool_.size() - live > pool_.size() / 2) Repack(live);
+}
+
+void Dag::Adjacency::Remove(NodeId v, NodeId id) {
+  Range& r = ranges_[v];
+  const auto first = pool_.begin() + static_cast<ptrdiff_t>(r.begin);
+  const auto last = first + r.len;
+  const auto it = std::find(first, last, id);
+  std::copy(it + 1, last, it);
+  --r.len;
+}
+
+void Dag::Adjacency::Repack(size_t live) {
+  std::vector<NodeId> pool;
+  pool.reserve(live);
+  for (Range& r : ranges_) {
+    const auto first = pool_.begin() + static_cast<ptrdiff_t>(r.begin);
+    r.begin = pool.size();
+    r.cap = r.len;
+    pool.insert(pool.end(), first, first + r.len);
+  }
+  pool_ = std::move(pool);
+}
+
 void Dag::StampNodes(const std::vector<NodeId>& nodes) {
   ++generation_;
   for (NodeId v : nodes) node_generations_[v] = generation_;
 }
 
 NodeId Dag::EnsureNode(std::string_view name) {
-  auto [it, inserted] = name_to_id_.try_emplace(
-      std::string(name), static_cast<NodeId>(names_.size()));
-  if (inserted) {
-    names_.emplace_back(name);
-    child_offsets_.push_back(children_.size());
-    parent_offsets_.push_back(parents_.size());
-    // A fresh node's (empty) ancestor set is itself new derived state:
-    // stamp it so generation-scoped consumers (EffectiveMatrix rows)
-    // pick it up.
-    ++generation_;
-    node_generations_.push_back(generation_);
+  if (const NodeId id = FindNode(name); id != kInvalidNode) return id;
+  // Copy-on-write: a table still shared with another copy (a published
+  // snapshot's) is cloned so that copy never sees the new name. A sole
+  // owner appends in place; like every mutation this assumes readers
+  // of released copies were quiesced first (the epoch writer retires
+  // snapshots on its own thread).
+  if (names_ == nullptr) {
+    names_ = std::make_shared<NameTable>();
+  } else if (names_.use_count() > 1) {
+    names_ = std::make_shared<NameTable>(*names_);
   }
-  return it->second;
+  const auto id = static_cast<NodeId>(node_count());
+  names_->names.emplace_back(name);
+  names_->ids.emplace(names_->names.back(), id);
+  children_.AddNode();
+  parents_.AddNode();
+  // A fresh node's (empty) ancestor set is itself new derived state:
+  // stamp it so generation-scoped consumers (EffectiveMatrix rows)
+  // pick it up.
+  ++generation_;
+  node_generations_.push_back(generation_);
+  return id;
 }
 
 Status Dag::InsertEdge(NodeId parent, NodeId child,
@@ -179,12 +264,12 @@ Status Dag::InsertEdge(NodeId parent, NodeId child,
     return Status::OutOfRange("InsertEdge: unknown node id");
   }
   if (parent == child) {
-    return Status::InvalidArgument("self-loop on node '" + names_[parent] +
+    return Status::InvalidArgument("self-loop on node '" + name(parent) +
                                    "'");
   }
   if (HasEdge(parent, child)) {
-    return Status::AlreadyExists("duplicate edge " + names_[parent] + " -> " +
-                                 names_[child]);
+    return Status::AlreadyExists("duplicate edge " + name(parent) + " -> " +
+                                 name(child));
   }
   // The edge closes a cycle iff `parent` is already reachable from
   // `child`: check only the part of the graph below `child` instead of
@@ -192,27 +277,16 @@ Status Dag::InsertEdge(NodeId parent, NodeId child,
   std::vector<NodeId> below = DescendantsOf(child);
   for (NodeId v : below) {
     if (v == parent) {
-      return Status::InvalidArgument("edge " + names_[parent] + " -> " +
-                                     names_[child] +
-                                     " would create a cycle");
+      return Status::InvalidArgument("edge " + name(parent) + " -> " +
+                                     name(child) + " would create a cycle");
     }
   }
 
-  // CSR splice: the new child goes at the end of `parent`'s list (the
-  // insertion-order contract of DagBuilder), shifting later rows.
-  children_.insert(children_.begin() +
-                       static_cast<ptrdiff_t>(child_offsets_[parent + 1]),
-                   child);
-  for (size_t v = parent + 1; v < child_offsets_.size(); ++v) {
-    ++child_offsets_[v];
-  }
-  parents_.insert(parents_.begin() +
-                      static_cast<ptrdiff_t>(parent_offsets_[child + 1]),
-                  parent);
-  for (size_t v = child + 1; v < parent_offsets_.size(); ++v) {
-    ++parent_offsets_[v];
-  }
+  // The new child goes at the end of `parent`'s list (the
+  // insertion-order contract of DagBuilder).
   ++edge_count_;
+  children_.Append(parent, child, edge_count_);
+  parents_.Append(child, parent, edge_count_);
   StampNodes(below);  // `below` is child + descendants: the affected set.
   if (affected != nullptr) *affected = std::move(below);
   return Status::OK();
@@ -222,29 +296,12 @@ Status Dag::EraseEdge(NodeId parent, NodeId child,
                       std::vector<NodeId>* affected) {
   if (parent >= node_count() || child >= node_count() ||
       !HasEdge(parent, child)) {
-    return Status::NotFound("no edge " +
-                            (parent < node_count() ? names_[parent]
-                                                   : "<unknown>") +
-                            " -> " +
-                            (child < node_count() ? names_[child]
-                                                  : "<unknown>"));
+    return Status::NotFound(
+        "no edge " + (parent < node_count() ? name(parent) : "<unknown>") +
+        " -> " + (child < node_count() ? name(child) : "<unknown>"));
   }
-  const auto kids_begin =
-      children_.begin() + static_cast<ptrdiff_t>(child_offsets_[parent]);
-  const auto kids_end =
-      children_.begin() + static_cast<ptrdiff_t>(child_offsets_[parent + 1]);
-  children_.erase(std::find(kids_begin, kids_end, child));
-  for (size_t v = parent + 1; v < child_offsets_.size(); ++v) {
-    --child_offsets_[v];
-  }
-  const auto par_begin =
-      parents_.begin() + static_cast<ptrdiff_t>(parent_offsets_[child]);
-  const auto par_end =
-      parents_.begin() + static_cast<ptrdiff_t>(parent_offsets_[child + 1]);
-  parents_.erase(std::find(par_begin, par_end, parent));
-  for (size_t v = child + 1; v < parent_offsets_.size(); ++v) {
-    --parent_offsets_[v];
-  }
+  children_.Remove(parent, child);
+  parents_.Remove(child, parent);
   --edge_count_;
   // Affected set computed *after* the erase — identical membership to
   // before (reachability via the removed edge starts above `child`),
@@ -256,8 +313,8 @@ Status Dag::EraseEdge(NodeId parent, NodeId child,
 }
 
 NodeId DagBuilder::AddNode(std::string_view name) {
-  auto [it, inserted] =
-      name_to_id_.try_emplace(std::string(name), static_cast<NodeId>(names_.size()));
+  auto [it, inserted] = name_to_id_.try_emplace(
+      std::string(name), static_cast<NodeId>(names_.size()));
   if (inserted) {
     names_.emplace_back(name);
     adj_children_.emplace_back();
@@ -314,23 +371,24 @@ StatusOr<Dag> DagBuilder::Build() && {
         "graph contains a cycle; subject hierarchies must be acyclic");
   }
 
+  const auto flatten = [n](const std::vector<std::vector<NodeId>>& lists) {
+    std::vector<size_t> offsets(1, 0);
+    offsets.reserve(n + 1);
+    std::vector<NodeId> pool;
+    for (const std::vector<NodeId>& list : lists) {
+      pool.insert(pool.end(), list.begin(), list.end());
+      offsets.push_back(pool.size());
+    }
+    return Dag::Adjacency::FromOffsets(offsets, std::move(pool));
+  };
+
   Dag dag;
   dag.edge_count_ = edge_count_;
   dag.node_generations_.assign(n, 0);
-  dag.names_ = std::move(names_);
-  dag.name_to_id_ = std::move(name_to_id_);
-  dag.child_offsets_.assign(1, 0);
-  dag.parent_offsets_.assign(1, 0);
-  dag.child_offsets_.reserve(n + 1);
-  dag.parent_offsets_.reserve(n + 1);
-  for (size_t v = 0; v < n; ++v) {
-    dag.children_.insert(dag.children_.end(), adj_children_[v].begin(),
-                         adj_children_[v].end());
-    dag.child_offsets_.push_back(dag.children_.size());
-    dag.parents_.insert(dag.parents_.end(), adj_parents_[v].begin(),
-                        adj_parents_[v].end());
-    dag.parent_offsets_.push_back(dag.parents_.size());
-  }
+  dag.names_ = std::make_shared<Dag::NameTable>(
+      Dag::NameTable{std::move(names_), std::move(name_to_id_)});
+  dag.children_ = flatten(adj_children_);
+  dag.parents_ = flatten(adj_parents_);
   return dag;
 }
 

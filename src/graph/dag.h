@@ -2,13 +2,14 @@
 #define UCR_GRAPH_DAG_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace ucr::graph {
 
@@ -34,6 +35,15 @@ inline constexpr NodeId kInvalidNode = UINT32_MAX;
 /// must quiesce readers around an edit (the write path of
 /// `AccessControlSystem` does).
 ///
+/// Copies are structurally shared where that is cheap to get right
+/// (DESIGN.md §11): the name table sits behind one reference-counted
+/// pointer and is cloned only when `EnsureNode` appends a name while
+/// another copy still holds it, so a published snapshot's copy costs
+/// the per-node arrays and the adjacency pools, not every name string
+/// and a hash map over them. Adjacency is a *slack* CSR: per-node
+/// `(begin, len, cap)` ranges over one id pool per direction, so an
+/// edge edit costs O(degree).
+///
 /// Every successful structural mutation bumps `generation()` and
 /// stamps the nodes whose *ancestor sets* the edit can have changed —
 /// the edited child and all of its descendants in the membership
@@ -51,27 +61,31 @@ class Dag {
   Dag& operator=(Dag&&) = default;
 
   /// Number of nodes.
-  size_t node_count() const { return names_.size(); }
+  size_t node_count() const { return node_generations_.size(); }
 
   /// Number of edges.
   size_t edge_count() const { return edge_count_; }
 
+  /// Id slots held by the two adjacency pools, holes and slack
+  /// included (memory accounting; only a repack ever lowers it).
+  size_t adjacency_slots() const {
+    return children_.slots() + parents_.slots();
+  }
+
   /// Name of node `id`. Requires `id < node_count()`.
-  const std::string& name(NodeId id) const { return names_[id]; }
+  const std::string& name(NodeId id) const { return names_->names[id]; }
 
   /// Id for `name`, or `kInvalidNode` if absent.
   NodeId FindNode(std::string_view node_name) const;
 
   /// Children of `id` (members of group `id`), in insertion order.
   std::span<const NodeId> children(NodeId id) const {
-    return {children_.data() + child_offsets_[id],
-            child_offsets_[id + 1] - child_offsets_[id]};
+    return children_.list(id);
   }
 
   /// Parents of `id` (groups `id` belongs to), in insertion order.
   std::span<const NodeId> parents(NodeId id) const {
-    return {parents_.data() + parent_offsets_[id],
-            parent_offsets_[id + 1] - parent_offsets_[id]};
+    return parents_.list(id);
   }
 
   bool is_root(NodeId id) const { return parents(id).empty(); }
@@ -109,15 +123,17 @@ class Dag {
   }
 
   /// Returns the id of `name`, appending a new isolated node (a root
-  /// and sink, stamped with a fresh generation) if absent.
+  /// and sink, stamped with a fresh generation) if absent. Copies of
+  /// this graph taken earlier never see the new name: a name table
+  /// still shared with one is cloned before the append.
   NodeId EnsureNode(std::string_view name);
 
   /// \brief Adds edge `parent -> child` in place. Fails on self-loops,
   /// duplicates, unknown ids, and — after an O(reachable) reachability
   /// check — on edges that would close a cycle; on failure the graph
-  /// is unchanged. O(V + E) worst case for the CSR splice, but with no
-  /// name-map rehash, no per-node allocations, and no full-graph
-  /// acyclicity replay (the `DagBuilder` rebuild this replaces).
+  /// is unchanged. The adjacency update is O(degree) amortized: a list
+  /// that outgrows its slack moves to the end of its pool, and the
+  /// pool repacks once holes exceed half of it.
   ///
   /// On success stamps `child` and every descendant of `child` with
   /// the new generation; when `affected` is non-null it receives those
@@ -134,7 +150,8 @@ class Dag {
 
   /// `start` plus every node reachable from it along child edges, in
   /// BFS discovery order — exactly the subjects whose ancestor sets an
-  /// edit of an edge into `start` can change.
+  /// edit of an edge into `start` can change. O(output): visited marks
+  /// live in epoch-stamped thread-local scratch.
   std::vector<NodeId> DescendantsOf(NodeId start) const;
 
   /// \brief Reassembles a graph from serialized CSR parts (the binary
@@ -158,17 +175,57 @@ class Dag {
  private:
   friend class DagBuilder;
 
+  /// Node names in id order plus the reverse index. Shared between
+  /// copies; written only through a unique owner (`EnsureNode`).
+  struct NameTable {
+    std::vector<std::string> names;
+    StringMap<NodeId> ids;
+  };
+
+  /// One adjacency direction as a slack CSR: node `v`'s list is
+  /// `pool[begin, begin + len)`, with room up to `begin + cap`. Lists
+  /// keep insertion order (the `DagBuilder` contract `graph/io.cc`
+  /// encodes through).
+  class Adjacency {
+   public:
+    /// Packed (cap == len) lists, from CSR offsets over `pool`.
+    static Adjacency FromOffsets(const std::vector<size_t>& offsets,
+                                 std::vector<NodeId> pool);
+
+    std::span<const NodeId> list(NodeId v) const {
+      const Range& r = ranges_[v];
+      return {pool_.data() + r.begin, r.len};
+    }
+    size_t slots() const { return pool_.size(); }
+    /// Appends an empty list for a new node.
+    void AddNode() { ranges_.push_back(Range{pool_.size(), 0, 0}); }
+    /// Appends `id` to `v`'s list; `live` is the edge count after the
+    /// append (the repack trigger compares holes against it).
+    void Append(NodeId v, NodeId id, size_t live);
+    /// Removes `id` from `v`'s list, keeping the others in order.
+    void Remove(NodeId v, NodeId id);
+
+   private:
+    struct Range {
+      size_t begin = 0;
+      uint32_t len = 0;
+      uint32_t cap = 0;
+    };
+    /// Rewrites the pool with every list packed (cap == len).
+    void Repack(size_t live);
+
+    std::vector<Range> ranges_;
+    std::vector<NodeId> pool_;
+  };
+
   /// Stamps `nodes` with a freshly bumped generation.
   void StampNodes(const std::vector<NodeId>& nodes);
 
   size_t edge_count_ = 0;
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, NodeId> name_to_id_;
-  // CSR adjacency: children_[child_offsets_[v] .. child_offsets_[v+1])
-  std::vector<size_t> child_offsets_{0};
-  std::vector<NodeId> children_;
-  std::vector<size_t> parent_offsets_{0};
-  std::vector<NodeId> parents_;
+  /// Null until the first node exists (or after a move).
+  std::shared_ptr<NameTable> names_;
+  Adjacency children_;
+  Adjacency parents_;
   uint64_t generation_ = 0;
   std::vector<uint64_t> node_generations_;
 };
@@ -215,7 +272,7 @@ class DagBuilder {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, NodeId> name_to_id_;
+  StringMap<NodeId> name_to_id_;
   std::vector<std::vector<NodeId>> adj_children_;
   std::vector<std::vector<NodeId>> adj_parents_;
   size_t edge_count_ = 0;

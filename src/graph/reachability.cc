@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <span>
 
 #include "obs/metrics.h"
 
@@ -24,7 +24,8 @@ struct ReachMetrics {
       "Compressed profile-label entries across all nodes");
   obs::Gauge& label_bytes = obs::Registry::Global().GetGauge(
       "ucr_reach_label_bytes",
-      "Reachability-index label footprint (profile + 2-hop pools)");
+      "Reachability-index label footprint (pooled entries, dead ones "
+      "awaiting repack included, plus per-node views)");
   obs::Counter& builds = obs::Registry::Global().GetCounter(
       "ucr_reach_builds_total", "Full reachability-index builds");
   obs::Counter& incremental = obs::Registry::Global().GetCounter(
@@ -33,9 +34,6 @@ struct ReachMetrics {
   obs::Counter& budget_aborts = obs::Registry::Global().GetCounter(
       "ucr_reach_budget_aborts_total",
       "Label builds abandoned over a ReachabilityOptions budget");
-  obs::Counter& fallbacks = obs::Registry::Global().GetCounter(
-      "ucr_reach_traversal_fallbacks_total",
-      "Reaches() queries answered by filtered traversal (no 2-hop hit)");
   obs::Histogram& rebuild_ns = obs::Registry::Global().GetHistogram(
       "ucr_reach_rebuild_ns",
       "Incremental reachability-index rebuild latency (ns, log2 buckets)");
@@ -53,25 +51,38 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
 
-/// Thread-local scratch for the traversal fallback of `Reaches`:
-/// epoch-stamped visited marks plus an explicit DFS stack, both grown
-/// on demand and reused across queries (and across index generations —
-/// the epoch bump makes stale stamps harmless).
-struct ReachScratch {
-  uint64_t epoch = 0;
-  std::vector<uint64_t> visited;
-  std::vector<NodeId> stack;
-
-  static ReachScratch& ThreadLocal() {
-    thread_local ReachScratch scratch;
-    return scratch;
+/// Merges two label runs sorted by (class, distance) with unique keys
+/// into `out`, adding the counts of equal keys (saturating). Saturating
+/// addition is associative and commutative, so the result is the same
+/// in any merge order — bit-identical to sorting every contribution
+/// and coalescing.
+void MergeRuns(std::span<const ReachabilityIndex::ProfileEntry> a,
+               std::span<const ReachabilityIndex::ProfileEntry> b,
+               std::vector<ReachabilityIndex::ProfileEntry>& out) {
+  out.clear();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].cls == b[j].cls && a[i].dis == b[j].dis) {
+      out.push_back(a[i]);
+      out.back().count = SatAdd(a[i].count, b[j].count);
+      ++i;
+      ++j;
+    } else if (a[i].cls != b[j].cls ? a[i].cls < b[j].cls
+                                    : a[i].dis < b[j].dis) {
+      out.push_back(a[i++]);
+    } else {
+      out.push_back(b[j++]);
+    }
   }
-};
+  out.insert(out.end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
+  out.insert(out.end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
+}
 
 }  // namespace
 
 bool ReachabilityIndex::is_root(NodeId v) const {
-  const ClassId c = class_of_[v];
+  const ClassId c = nodes_[v].cls;
   return c != kInteriorClass && classes_[c].is_root;
 }
 
@@ -92,20 +103,20 @@ ReachabilityIndex::ClassId ReachabilityIndex::InternClass(
 void ReachabilityIndex::AssignClasses(const Dag& dag,
                                       std::span<const ReachLabeledRow> rows) {
   const size_t n = dag.node_count();
-  class_of_.assign(n, kInteriorClass);
+  nodes_.assign(n, NodeSlot{});
   for (const ReachLabeledRow& r : rows) {
     assert(r.node < n);
     assert(std::is_sorted(r.row.begin(), r.row.end()));
     if (r.row.empty()) continue;  // Unlabeled: root-ness decides below.
-    class_of_[r.node] = InternClass(r.row, dag.is_root(r.node));
+    nodes_[r.node].cls = InternClass(r.row, dag.is_root(r.node));
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (class_of_[v] == kInteriorClass && dag.is_root(v)) {
-      class_of_[v] = InternClass({}, true);
+    if (nodes_[v].cls == kInteriorClass && dag.is_root(v)) {
+      nodes_[v].cls = InternClass({}, true);
     }
   }
-  for (const ClassId c : class_of_) {
-    if (c != kInteriorClass) ++classes_[c].members;
+  for (const NodeSlot& slot : nodes_) {
+    if (slot.cls != kInteriorClass) ++classes_[slot.cls].members;
   }
 }
 
@@ -114,44 +125,33 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
                                       const ReachabilityIndex* prev) {
   const size_t n = dag.node_count();
   const size_t pool_budget = n * options_.max_mean_label_entries;
-  label_begin_.assign(n, 0);
-  label_end_.assign(n, 0);
-  label_pool_.clear();
 
   // The order to (re)compute: full topological order, or a Kahn order
   // over the affected-induced sub-graph (affected sets are closed
   // under descendants, so an affected node's unaffected parents keep
-  // their previous labels — copied below — and its affected parents
+  // their previous labels — shared below — and its affected parents
   // precede it in the Kahn order).
   std::vector<NodeId> order;
+  auto pool = std::make_shared<LabelPool>();
   if (affected == nullptr) {
     order = dag.TopologicalOrder();
+    DropLabels();
+    // One entry per node is a floor for any labeled hierarchy; the
+    // doublings past it are amortized by the rebase below.
+    pool->reserve(n);
   } else {
+    // `nodes_` already holds `prev`'s views (the caller copied them
+    // along with the classes).
     assert(prev != nullptr && prev->ready());
-    size_t kept_entries = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (v < prev->node_count() && !(*affected)[v]) {
-        kept_entries += prev->label_end_[v] - prev->label_begin_[v];
-      }
-    }
-    label_pool_.reserve(kept_entries);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v < prev->node_count() && !(*affected)[v]) {
-        label_begin_[v] = label_pool_.size();
-        label_pool_.insert(
-            label_pool_.end(),
-            prev->label_pool_.begin() +
-                static_cast<ptrdiff_t>(prev->label_begin_[v]),
-            prev->label_pool_.begin() +
-                static_cast<ptrdiff_t>(prev->label_end_[v]));
-        label_end_[v] = label_pool_.size();
-      }
-    }
+    label_pools_ = prev->label_pools_;
+    live_entries_ = prev->live_entries_;
+    pooled_entries_ = prev->pooled_entries_;
     // Kahn over the affected nodes only: in-degree restricted to
     // affected parents.
     std::vector<uint32_t> indegree(n, 0);
     for (NodeId v = 0; v < n; ++v) {
       if (!(*affected)[v]) continue;
+      live_entries_ -= nodes_[v].label_len;  // Superseded below: dead.
       uint32_t d = 0;
       for (const NodeId p : dag.parents(v)) d += (*affected)[p] ? 1u : 0u;
       indegree[v] = d;
@@ -169,282 +169,113 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
   // (class, distance) with saturating counts — the same per-node
   // normalize-and-merge the propagation engines perform, so the
   // aggregated counts are bit-identical to engine multiplicities.
-  std::vector<ProfileEntry> merge;
-  for (const NodeId v : order) {
-    merge.clear();
+  // Each parent's run is already sorted (its label shifted by one,
+  // with the unit spliced in), so runs merge instead of re-sorting.
+  std::vector<ProfileEntry> acc;
+  std::vector<ProfileEntry> run;
+  std::vector<ProfileEntry> merged;
+  // Offset of each written label in `pool`, parallel to `order`: a
+  // pool reallocation re-points the labels written so far.
+  std::vector<size_t> offsets;
+  offsets.reserve(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    const NodeId v = order[k];
+    acc.clear();
     for (const NodeId p : dag.parents(v)) {
-      for (const ProfileEntry& e : label(p)) {
-        merge.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
+      const std::span<const ProfileEntry> parent_label = label(p);
+      const ClassId pc = nodes_[p].cls;
+      run.clear();
+      size_t i = 0;
+      if (pc != kInteriorClass) {
+        // Every shifted entry has dis >= 2, so the (pc, 1) unit sorts
+        // before all of class pc's entries.
+        for (; i < parent_label.size() && parent_label[i].cls < pc; ++i) {
+          const ProfileEntry& e = parent_label[i];
+          run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
+        }
+        run.push_back(ProfileEntry{pc, 1, 1});
       }
-      const ClassId pc = class_of_[p];
-      if (pc != kInteriorClass) merge.push_back(ProfileEntry{pc, 1, 1});
-    }
-    std::sort(merge.begin(), merge.end(),
-              [](const ProfileEntry& a, const ProfileEntry& b) {
-                return a.cls != b.cls ? a.cls < b.cls : a.dis < b.dis;
-              });
-    size_t out = 0;
-    for (size_t i = 0; i < merge.size(); ++i) {
-      if (out > 0 && merge[out - 1].cls == merge[i].cls &&
-          merge[out - 1].dis == merge[i].dis) {
-        merge[out - 1].count = SatAdd(merge[out - 1].count, merge[i].count);
+      for (; i < parent_label.size(); ++i) {
+        const ProfileEntry& e = parent_label[i];
+        run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
+      }
+      if (acc.empty()) {
+        acc.swap(run);
       } else {
-        merge[out++] = merge[i];
+        MergeRuns(acc, run, merged);
+        acc.swap(merged);
       }
     }
-    merge.resize(out);
 
+    const size_t out = acc.size();
     if (out > options_.max_node_label_entries ||
-        label_pool_.size() + out > pool_budget) {
+        live_entries_ + out > pool_budget) {
       return false;
     }
-    label_begin_[v] = label_pool_.size();
-    label_pool_.insert(label_pool_.end(), merge.begin(), merge.end());
-    label_end_[v] = label_pool_.size();
+    if (pool->size() + out > pool->capacity()) {
+      pool->reserve(std::max(2 * pool->capacity(), pool->size() + out));
+      for (size_t j = 0; j < k; ++j) {
+        nodes_[order[j]].label = pool->data() + offsets[j];
+      }
+    }
+    offsets.push_back(pool->size());
+    nodes_[v].label = pool->data() + pool->size();
+    nodes_[v].label_len = static_cast<uint32_t>(out);
+    pool->insert(pool->end(), acc.begin(), acc.end());
+    live_entries_ += out;
+  }
+  if (!pool->empty()) {
+    pooled_entries_ += pool->size();
+    label_pools_.push_back(std::move(pool));
+  }
+
+  // Repack once dead entries outnumber live ones (amortized O(1) per
+  // entry), or once the pool list itself grows past sqrt(live): every
+  // rebuild copies the list, so P rebuilds since the last repack have
+  // cost ~P^2/2 reference copies — one repack's worth at P ~ sqrt(live).
+  const size_t dead = pooled_entries_ - live_entries_;
+  const size_t pools = label_pools_.size();
+  if (pools > 1 && (dead > live_entries_ || pools * pools > live_entries_)) {
+    RepackLabels();
   }
   return true;
 }
 
-void ReachabilityIndex::BuildReachSupport(const Dag& dag,
-                                          const ReachabilityOptions& options) {
-  const size_t n = dag.node_count();
-
-  // Private child-adjacency copy: `Reaches` must stay valid after the
-  // source Dag mutates into its next generation.
-  adj_offsets_.assign(n + 1, 0);
-  adj_children_.clear();
-  adj_children_.reserve(dag.edge_count());
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<const NodeId> kids = dag.children(v);
-    adj_children_.insert(adj_children_.end(), kids.begin(), kids.end());
-    adj_offsets_[v + 1] = adj_children_.size();
+void ReachabilityIndex::RepackLabels() {
+  auto pool = std::make_shared<LabelPool>();
+  pool->reserve(live_entries_);
+  for (NodeSlot& slot : nodes_) {
+    const ProfileEntry* const first = slot.label;
+    slot.label = pool->data() + pool->size();
+    pool->insert(pool->end(), first, first + slot.label_len);
   }
-
-  const std::vector<NodeId> topo = dag.TopologicalOrder();
-  topo_pos_.assign(n, 0);
-  for (size_t i = 0; i < topo.size(); ++i) {
-    topo_pos_[topo[i]] = static_cast<uint32_t>(i);
-  }
-
-  // DFS-forest intervals over child edges: containment proves a tree
-  // path, so `ivl(a) ⊇ ivl(b)` is a sufficient (not necessary)
-  // reachability witness the traversal fallback accepts for free.
-  ivl_begin_.assign(n, 0);
-  ivl_end_.assign(n, 0);
-  {
-    std::vector<uint8_t> seen(n, 0);
-    // Frame = (node, next child index); explicit stack to stay safe on
-    // million-node chains.
-    std::vector<std::pair<NodeId, size_t>> stack;
-    uint32_t clock = 0;
-    for (const NodeId r : topo) {
-      if (seen[r]) continue;
-      if (!dag.is_root(r)) continue;
-      seen[r] = 1;
-      ivl_begin_[r] = clock++;
-      stack.emplace_back(r, 0);
-      while (!stack.empty()) {
-        auto& [v, next] = stack.back();
-        const std::span<const NodeId> kids = dag.children(v);
-        bool descended = false;
-        while (next < kids.size()) {
-          const NodeId c = kids[next++];
-          if (!seen[c]) {
-            seen[c] = 1;
-            ivl_begin_[c] = clock++;
-            stack.emplace_back(c, 0);
-            descended = true;
-            break;
-          }
-        }
-        if (!descended) {
-          ivl_end_[v] = clock++;
-          stack.pop_back();
-        }
-      }
-    }
-    // Isolated components unreachable from any root cannot exist in a
-    // DAG (every component has a parentless node), but guard anyway:
-    // unvisited nodes keep the empty interval [0, 0), which never
-    // claims containment of a distinct node's interval.
-  }
-
-  // Exact 2-hop (pruned-landmark) labels, gated by size. Landmarks in
-  // descending total-degree order: high-degree hubs cover the most
-  // paths first, which is what makes pruning effective.
-  two_hop_ready_ = false;
-  in_offsets_.clear();
-  out_offsets_.clear();
-  in_pool_.clear();
-  out_pool_.clear();
-  rank_of_.clear();
-  if (n == 0 || n > options.two_hop_max_nodes) return;
-
-  std::vector<NodeId> by_degree(n);
-  std::iota(by_degree.begin(), by_degree.end(), NodeId{0});
-  std::sort(by_degree.begin(), by_degree.end(), [&](NodeId a, NodeId b) {
-    const size_t da = dag.children(a).size() + dag.parents(a).size();
-    const size_t db = dag.children(b).size() + dag.parents(b).size();
-    return da != db ? da > db : a < b;
-  });
-  rank_of_.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    rank_of_[by_degree[i]] = static_cast<uint32_t>(i);
-  }
-
-  // Per-node label vectors during construction (ranks appended in
-  // ascending order, so each stays sorted); flattened into pools below.
-  std::vector<std::vector<uint32_t>> in_label(n);
-  std::vector<std::vector<uint32_t>> out_label(n);
-  const size_t hop_budget = n * options.max_mean_hop_entries;
-  size_t hop_entries = 0;
-
-  const auto covered = [&](NodeId a, NodeId b) {
-    const std::vector<uint32_t>& out = out_label[a];
-    const std::vector<uint32_t>& in = in_label[b];
-    size_t i = 0;
-    size_t j = 0;
-    while (i < out.size() && j < in.size()) {
-      if (out[i] == in[j]) return true;
-      if (out[i] < in[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    return false;
-  };
-
-  // Visit stamps (2k = forward sweep of landmark k, 2k+1 = backward)
-  // so a pruned node is inspected once per sweep, not once per
-  // incoming edge.
-  std::vector<uint64_t> stamp(n, UINT64_MAX);
-  std::vector<NodeId> queue;
-  for (size_t k = 0; k < n && hop_entries <= hop_budget; ++k) {
-    const NodeId lm = by_degree[k];
-    // Forward sweep: lm reaches u  =>  rank k enters in_label[u].
-    queue.clear();
-    queue.push_back(lm);
-    stamp[lm] = 2 * k;
-    in_label[lm].push_back(static_cast<uint32_t>(k));
-    ++hop_entries;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (const NodeId c : dag.children(queue[head])) {
-        if (stamp[c] == 2 * k) continue;
-        stamp[c] = 2 * k;
-        if (covered(lm, c)) continue;  // Higher-rank landmark already covers.
-        in_label[c].push_back(static_cast<uint32_t>(k));
-        ++hop_entries;
-        queue.push_back(c);
-      }
-    }
-    // Backward sweep: u reaches lm  =>  rank k enters out_label[u].
-    queue.clear();
-    queue.push_back(lm);
-    stamp[lm] = 2 * k + 1;
-    out_label[lm].push_back(static_cast<uint32_t>(k));
-    ++hop_entries;
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (const NodeId p : dag.parents(queue[head])) {
-        if (stamp[p] == 2 * k + 1) continue;
-        stamp[p] = 2 * k + 1;
-        if (covered(p, lm)) continue;
-        out_label[p].push_back(static_cast<uint32_t>(k));
-        ++hop_entries;
-        queue.push_back(p);
-      }
-    }
-  }
-  if (hop_entries > hop_budget) return;  // Profiles stay usable.
-
-  in_offsets_.assign(n + 1, 0);
-  out_offsets_.assign(n + 1, 0);
-  in_pool_.reserve(hop_entries / 2);
-  out_pool_.reserve(hop_entries / 2);
-  for (NodeId v = 0; v < n; ++v) {
-    in_pool_.insert(in_pool_.end(), in_label[v].begin(), in_label[v].end());
-    out_pool_.insert(out_pool_.end(), out_label[v].begin(),
-                     out_label[v].end());
-    in_offsets_[v + 1] = in_pool_.size();
-    out_offsets_[v + 1] = out_pool_.size();
-  }
-  two_hop_ready_ = true;
+  label_pools_.assign(1, std::move(pool));
+  pooled_entries_ = live_entries_;
 }
 
-bool ReachabilityIndex::Reaches(NodeId a, NodeId b) const {
-  assert(a < node_count() && b < node_count());
-  if (a == b) return true;
-  // Topological positions: ancestors strictly precede descendants.
-  if (topo_pos_[a] >= topo_pos_[b]) return false;
-
-  if (two_hop_ready_) {
-    const uint32_t* out = out_pool_.data() + out_offsets_[a];
-    const uint32_t* out_end = out_pool_.data() + out_offsets_[a + 1];
-    const uint32_t* in = in_pool_.data() + in_offsets_[b];
-    const uint32_t* in_end = in_pool_.data() + in_offsets_[b + 1];
-    while (out != out_end && in != in_end) {
-      if (*out == *in) return true;
-      if (*out < *in) {
-        ++out;
-      } else {
-        ++in;
-      }
-    }
-    return false;
+void ReachabilityIndex::DropLabels() {
+  for (NodeSlot& slot : nodes_) {
+    slot.label = nullptr;
+    slot.label_len = 0;
   }
-
-  // Spanning-forest interval containment: sufficient, so accept free.
-  const auto contains = [this](NodeId u, NodeId v) {
-    return ivl_begin_[u] <= ivl_begin_[v] && ivl_end_[v] <= ivl_end_[u] &&
-           ivl_begin_[u] < ivl_end_[u];
-  };
-  if (contains(a, b)) return true;
-
-  if constexpr (obs::kEnabled) Metrics().fallbacks.Inc();
-  ReachScratch& scratch = ReachScratch::ThreadLocal();
-  if (scratch.visited.size() < node_count()) {
-    scratch.visited.resize(node_count(), 0);
-  }
-  const uint64_t epoch = ++scratch.epoch;
-  scratch.stack.clear();
-  scratch.stack.push_back(a);
-  scratch.visited[a] = epoch;
-  const uint32_t limit = topo_pos_[b];
-  while (!scratch.stack.empty()) {
-    const NodeId v = scratch.stack.back();
-    scratch.stack.pop_back();
-    const std::span<const NodeId> kids{
-        adj_children_.data() + adj_offsets_[v],
-        adj_offsets_[v + 1] - adj_offsets_[v]};
-    for (const NodeId c : kids) {
-      if (c == b) return true;
-      // Prune: nodes at or past b's topological position cannot lead
-      // to b; contained intervals prove reachability outright.
-      if (topo_pos_[c] >= limit) continue;
-      if (scratch.visited[c] == epoch) continue;
-      scratch.visited[c] = epoch;
-      if (contains(c, b)) return true;
-      scratch.stack.push_back(c);
-    }
-  }
-  return false;
+  label_pools_.clear();
+  live_entries_ = 0;
+  pooled_entries_ = 0;
 }
 
 ReachabilityIndex::IndexStats ReachabilityIndex::stats() const {
   IndexStats s;
   s.ready = ready_;
-  s.two_hop_ready = two_hop_ready_;
   for (const ClassData& c : classes_) {
     if (c.members > 0) ++s.supernodes;
   }
-  for (const ClassId c : class_of_) {
-    if (c == kInteriorClass) ++s.folded_nodes;
+  for (const NodeSlot& slot : nodes_) {
+    if (slot.cls == kInteriorClass) ++s.folded_nodes;
   }
-  s.label_entries = label_pool_.size();
-  s.two_hop_entries = in_pool_.size() + out_pool_.size();
-  s.label_bytes = label_pool_.size() * sizeof(ProfileEntry) +
-                  (label_begin_.size() + label_end_.size()) * sizeof(size_t) +
-                  s.two_hop_entries * sizeof(uint32_t);
+  s.label_entries = live_entries_;
+  s.label_bytes = pooled_entries_ * sizeof(ProfileEntry) +
+                  nodes_.size() * sizeof(NodeSlot);
+  s.label_pools = label_pools_.size();
   return s;
 }
 
@@ -453,7 +284,7 @@ std::map<std::pair<ReachabilityIndex::ClassId, ReachabilityIndex::ClassId>,
 ReachabilityIndex::SummaryEdges() const {
   std::map<std::pair<ClassId, ClassId>, size_t> edges;
   for (NodeId v = 0; v < node_count(); ++v) {
-    const ClassId to = class_of_[v];
+    const ClassId to = nodes_[v].cls;
     if (to == kInteriorClass) continue;
     for (const ProfileEntry& e : label(v)) {
       ++edges[{e.cls, to}];
@@ -480,12 +311,9 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::Build(
   index->dag_generation_ = dag.generation();
   index->acm_epoch_ = acm_epoch;
   index->AssignClasses(dag, rows);
-  index->BuildReachSupport(dag, options);
   index->ready_ = index->ComputeLabels(dag, nullptr, nullptr);
   if (!index->ready_) {
-    index->label_pool_.clear();
-    index->label_begin_.assign(dag.node_count(), 0);
-    index->label_end_.assign(dag.node_count(), 0);
+    index->DropLabels();
     if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();
   }
   if constexpr (obs::kEnabled) Metrics().builds.Inc();
@@ -509,14 +337,14 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
 
   // Classes: start from the previous assignment, then apply row edits
   // and classify new nodes. The intern map persists across generations
-  // so class ids are stable (labels copied from `previous` stay
+  // so class ids are stable (labels shared with `previous` stay
   // decodable).
   index->classes_ = previous->classes_;
   index->class_ids_ = previous->class_ids_;
-  index->class_of_ = previous->class_of_;
-  index->class_of_.resize(n, kInteriorClass);
+  index->nodes_ = previous->nodes_;
+  index->nodes_.resize(n, NodeSlot{});
   const auto reassign = [&](NodeId v, ClassId next) {
-    ClassId& cur = index->class_of_[v];
+    ClassId& cur = index->nodes_[v].cls;
     if (cur == next) return;
     if (cur != kInteriorClass) --index->classes_[cur].members;
     if (next != kInteriorClass) ++index->classes_[next].members;
@@ -541,7 +369,7 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
   for (NodeId v = static_cast<NodeId>(previous->node_count());
        v < static_cast<NodeId>(n); ++v) {
     dirty[v] = 1;
-    if (index->class_of_[v] == kInteriorClass && dag.is_root(v)) {
+    if (index->nodes_[v].cls == kInteriorClass && dag.is_root(v)) {
       reassign(v, index->InternClass({}, true));
     }
   }
@@ -553,7 +381,7 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
   // affected set covers — re-derive those nodes' classes from the
   // current hierarchy.
   for (const NodeId v : affected) {
-    const ClassId cur = index->class_of_[v];
+    const ClassId cur = index->nodes_[v].cls;
     const bool root = dag.is_root(v);
     if (cur == kInteriorClass) {
       if (root) reassign(v, index->InternClass({}, true));
@@ -571,46 +399,16 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
   size_t dirty_count = 0;
   for (const uint8_t d : dirty) dirty_count += d;
 
-  // Boolean reachability support is matrix-independent: reuse it
-  // wholesale unless the hierarchy itself changed.
-  if (dag.generation() == previous->dag_generation_ &&
-      n == previous->node_count()) {
-    index->adj_offsets_ = previous->adj_offsets_;
-    index->adj_children_ = previous->adj_children_;
-    index->topo_pos_ = previous->topo_pos_;
-    index->ivl_begin_ = previous->ivl_begin_;
-    index->ivl_end_ = previous->ivl_end_;
-    index->two_hop_ready_ = previous->two_hop_ready_;
-    index->rank_of_ = previous->rank_of_;
-    index->in_offsets_ = previous->in_offsets_;
-    index->out_offsets_ = previous->out_offsets_;
-    index->in_pool_ = previous->in_pool_;
-    index->out_pool_ = previous->out_pool_;
-  } else {
-    // The 2-hop attempt dominates the support build and a budget abort
-    // discards it wholesale; a topology that blew that budget will blow
-    // it again unless it shrank, so skip the retry rather than paying
-    // the doomed sweep on every mutation.
-    ReachabilityOptions support_options = index->options_;
-    if (!previous->two_hop_ready_ && n >= previous->node_count()) {
-      support_options.two_hop_max_nodes = 0;
-    }
-    index->BuildReachSupport(dag, support_options);
-  }
-
   // Budget aborts are sticky: without previous labels there is nothing
   // to scope the rebuild against, and a topology that blew the budget
   // once will blow it again — callers stay on the classic engine.
   if (!previous->ready()) {
     index->ready_ = false;
-    index->label_begin_.assign(n, 0);
-    index->label_end_.assign(n, 0);
+    index->DropLabels();
   } else {
     index->ready_ = index->ComputeLabels(dag, &dirty, previous.get());
     if (!index->ready_) {
-      index->label_pool_.clear();
-      index->label_begin_.assign(n, 0);
-      index->label_end_.assign(n, 0);
+      index->DropLabels();
       if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();
     }
   }

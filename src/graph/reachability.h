@@ -28,34 +28,26 @@ struct ReachLabeledRow {
   std::vector<uint64_t> row;
 };
 
-/// Build-time budgets for `ReachabilityIndex`. All are safety valves:
+/// Build-time budgets for `ReachabilityIndex`. Both are safety valves:
 /// exceeding one marks the index not-`ready()` and the query layer
 /// falls back to classic ancestor-sub-graph extraction, never to a
 /// wrong answer.
 struct ReachabilityOptions {
   /// Mean per-node budget for the compressed profile labels: a build
-  /// aborts once the pool exceeds `node_count * max_mean_label_entries`
-  /// (adversarial mixes of many distinct label signatures and wide
-  /// distance spreads can make the labels super-linear).
+  /// aborts once the live label entries exceed `node_count *
+  /// max_mean_label_entries` (adversarial mixes of many distinct label
+  /// signatures and wide distance spreads can make the labels
+  /// super-linear).
   size_t max_mean_label_entries = 64;
 
   /// Hard per-node profile cap, against single pathological sinks.
   size_t max_node_label_entries = 4096;
-
-  /// 2-hop labels (the O(label∩) `Reaches` fast path) are built only
-  /// for hierarchies up to this many nodes; larger graphs answer
-  /// `Reaches` through the interval-filtered traversal fallback.
-  size_t two_hop_max_nodes = size_t{1} << 16;
-
-  /// Mean per-node budget for the 2-hop labels; on breach the 2-hop
-  /// structure alone is discarded (the profile labels stay usable).
-  size_t max_mean_hop_entries = 48;
 };
 
 /// \brief Reachability labels + summary-DAG compression over the
 /// subject hierarchy (DESIGN.md §12).
 ///
-/// Three cooperating structures, all immutable once built:
+/// Two cooperating structures, both immutable once built:
 ///
 ///  1. **Supernode classes** — every node is classified by its packed
 ///     explicit-matrix row plus its root-ness. Nodes with identical
@@ -71,18 +63,19 @@ struct ReachabilityOptions {
 ///     The sink's propagated `allRights` bag is a direct function of
 ///     `L(t)` and the query column, so an indexed query touches
 ///     O(|L(t)|) entries instead of extracting the ancestor sub-graph.
-///  3. **Boolean reachability labels** — a 2-hop (pruned-landmark)
-///     label set answering `Reaches(a, b)` as one sorted-set
-///     intersection, with a DFS-interval + topological-position
-///     filtered traversal as the exact fallback above the 2-hop size
-///     gate.
 ///
-/// Incremental maintenance (`RebuildIncremental`) recomputes profile
-/// labels only for the *affected set* — the same
-/// edited-child-plus-descendants sets the PR 5 scoped invalidation
-/// machinery already produces — and copies everything else from the
-/// previous generation, so each `HierarchySnapshot` can carry a
-/// shared immutable view and snapshot readers stay lock-free.
+/// Labels live in shared immutable pools: each node holds a pointer
+/// and a length into one of them. Incremental maintenance
+/// (`RebuildIncremental`) recomputes labels only for the *affected
+/// set* — the edited-child-plus-descendants sets the PR 5 scoped
+/// invalidation machinery already produces — writes them into one new
+/// pool, and shares every older pool with the previous generation, so
+/// an edit costs O(affected) label work plus the per-node pointer
+/// arrays. Once dead entries (labels superseded by later generations)
+/// outnumber live ones, a rebuild repacks every live label into one
+/// pool. Each `HierarchySnapshot` carries a shared immutable view, so
+/// snapshot readers stay lock-free. Boolean reachability is a separate
+/// structure, `ReachQuery` (graph/reach_query.h), built on demand.
 class ReachabilityIndex {
  public:
   using ClassId = uint32_t;
@@ -113,12 +106,13 @@ class ReachabilityIndex {
   /// Size/health counters for exposition and tests.
   struct IndexStats {
     bool ready = false;
-    bool two_hop_ready = false;
-    size_t supernodes = 0;       ///< Classes with at least one member.
-    size_t folded_nodes = 0;     ///< Interior nodes (no class of their own).
-    size_t label_entries = 0;    ///< Profile pool size.
-    size_t label_bytes = 0;      ///< Profile + 2-hop label footprint.
-    size_t two_hop_entries = 0;  ///< 2-hop pool size (in + out).
+    size_t supernodes = 0;     ///< Classes with at least one member.
+    size_t folded_nodes = 0;   ///< Interior nodes (no class of their own).
+    size_t label_entries = 0;  ///< Live profile entries across all nodes.
+    /// Pooled label bytes — dead entries awaiting repack included —
+    /// plus the per-node slots (class and label view).
+    size_t label_bytes = 0;
+    size_t label_pools = 0;  ///< Pools the labels are spread over.
   };
 
   /// \brief Full build against one (hierarchy, matrix) generation.
@@ -145,10 +139,9 @@ class ReachabilityIndex {
   /// new packed rows of subjects whose explicit entries changed (an
   /// empty row = now unlabeled).
   ///
-  /// Profile labels of unaffected nodes are copied verbatim; the
-  /// boolean-reachability structures are reused as-is when the
-  /// hierarchy itself is unchanged (row-only churn, the common case)
-  /// and rebuilt otherwise — they are independent of the matrix.
+  /// Profile labels of unaffected nodes are shared with `previous`
+  /// (their pools are reference-counted, not copied); only the
+  /// affected nodes' labels are written, into one new pool.
   static std::shared_ptr<const ReachabilityIndex> RebuildIncremental(
       const Dag& dag, uint64_t acm_epoch,
       const std::shared_ptr<const ReachabilityIndex>& previous,
@@ -156,16 +149,16 @@ class ReachabilityIndex {
       std::span<const ReachLabeledRow> changed_rows);
 
   /// False when a build budget tripped: the profile labels are absent
-  /// and only `Reaches`/class metadata may be consulted.
+  /// and only class metadata may be consulted.
   bool ready() const { return ready_; }
 
   /// The `Dag::generation()` / matrix epoch this index describes.
   uint64_t dag_generation() const { return dag_generation_; }
   uint64_t acm_epoch() const { return acm_epoch_; }
-  size_t node_count() const { return class_of_.size(); }
+  size_t node_count() const { return nodes_.size(); }
 
   /// Class of node `v`, or `kInteriorClass` for folded interiors.
-  ClassId class_of(NodeId v) const { return class_of_[v]; }
+  ClassId class_of(NodeId v) const { return nodes_[v].cls; }
   bool is_root(NodeId v) const;
 
   size_t class_count() const { return classes_.size(); }
@@ -176,18 +169,8 @@ class ReachabilityIndex {
 
   /// Compressed label of node `v` (requires `ready()`).
   std::span<const ProfileEntry> label(NodeId v) const {
-    return {label_pool_.data() + label_begin_[v],
-            label_end_[v] - label_begin_[v]};
+    return {nodes_[v].label, nodes_[v].label_len};
   }
-
-  /// \brief Exact hierarchy reachability: true iff a directed
-  /// membership path `a -> ... -> b` exists (or `a == b`).
-  ///
-  /// O(|label|) sorted-set intersection when the 2-hop labels are
-  /// built; otherwise an interval/topological-position filtered DFS
-  /// (exact, counted by `ucr_reach_traversal_fallbacks_total`).
-  /// Thread-safe; the fallback uses thread-local scratch.
-  bool Reaches(NodeId a, NodeId b) const;
 
   IndexStats stats() const;
 
@@ -208,16 +191,22 @@ class ReachabilityIndex {
   /// (row, is_root) -> ClassId interning key. Build-time only.
   using ClassKey = std::pair<std::vector<uint64_t>, bool>;
 
+  using LabelPool = std::vector<ProfileEntry>;
+
   ClassId InternClass(std::vector<uint64_t> row, bool root);
   void AssignClasses(const Dag& dag, std::span<const ReachLabeledRow> rows);
-  /// Recomputes profile labels. With `affected == nullptr` the whole
-  /// hierarchy is labeled in topological order; otherwise only nodes
-  /// flagged in the bitmap are recomputed (in a Kahn order over the
-  /// affected-induced sub-graph) and every other segment is copied
-  /// verbatim from `prev`. Returns false on budget breach.
+  /// Computes profile labels into one new pool. With `affected ==
+  /// nullptr` the whole hierarchy is labeled in topological order;
+  /// otherwise only nodes flagged in the bitmap are recomputed (in a
+  /// Kahn order over the affected-induced sub-graph) and every other
+  /// node keeps `prev`'s label, pool shared. Returns false on budget
+  /// breach.
   bool ComputeLabels(const Dag& dag, const std::vector<uint8_t>* affected,
                      const ReachabilityIndex* prev);
-  void BuildReachSupport(const Dag& dag, const ReachabilityOptions& options);
+  /// Copies every live label into one pool and drops the others.
+  void RepackLabels();
+  /// Not-ready state: no labels, no pools (classes stay).
+  void DropLabels();
   void PublishMetrics() const;
 
   bool ready_ = false;
@@ -227,32 +216,23 @@ class ReachabilityIndex {
 
   std::vector<ClassData> classes_;
   std::map<ClassKey, ClassId> class_ids_;
-  std::vector<ClassId> class_of_;
 
-  // Profile pool; per-node [begin, end) segments. Segments are laid
-  // out in whatever order the (possibly scoped) label pass visited
-  // nodes, so the two offset arrays are independent — not a CSR.
-  std::vector<size_t> label_begin_;
-  std::vector<size_t> label_end_;
-  std::vector<ProfileEntry> label_pool_;
-
-  // Boolean-reachability support: a private copy of the child
-  // adjacency (the index outlives the mutable `Dag` it was built
-  // from), a topological position per node (necessary-condition
-  // filter), DFS-forest intervals over child edges
-  // (sufficient-condition fast accept), and optional exact 2-hop
-  // labels (landmark ranks, sorted ascending per node).
-  std::vector<size_t> adj_offsets_;
-  std::vector<NodeId> adj_children_;
-  std::vector<uint32_t> topo_pos_;
-  std::vector<uint32_t> ivl_begin_;
-  std::vector<uint32_t> ivl_end_;
-  bool two_hop_ready_ = false;
-  std::vector<uint32_t> rank_of_;  ///< node -> landmark rank.
-  std::vector<size_t> in_offsets_;
-  std::vector<size_t> out_offsets_;
-  std::vector<uint32_t> in_pool_;
-  std::vector<uint32_t> out_pool_;
+  /// Everything a query reads about one node, in one 16-byte slot (a
+  /// decision on a cold subject pays one cache miss for all of it).
+  /// `label` points into `label_pools_`: pools are immutable once the
+  /// generation that wrote them is built and are shared by every later
+  /// generation (and by copies of this index) still pointing into
+  /// them, so a view stays valid as long as its index does.
+  struct NodeSlot {
+    const ProfileEntry* label = nullptr;
+    uint32_t label_len = 0;
+    ClassId cls = kInteriorClass;
+  };
+  static_assert(sizeof(NodeSlot) == 16);
+  std::vector<NodeSlot> nodes_;
+  std::vector<std::shared_ptr<const LabelPool>> label_pools_;
+  size_t live_entries_ = 0;    ///< Sum of `label_len`.
+  size_t pooled_entries_ = 0;  ///< Sum of pool sizes (live + dead).
 };
 
 }  // namespace ucr::graph

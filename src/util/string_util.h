@@ -1,11 +1,28 @@
 #ifndef UCR_UTIL_STRING_UTIL_H_
 #define UCR_UTIL_STRING_UTIL_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace ucr {
+
+/// Transparent string hash: a `StringMap` built on it answers `find`
+/// for a `std::string_view` key without materializing a temporary
+/// `std::string` (C++20 heterogeneous lookup).
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// Name-keyed hash map with allocation-free by-view lookup.
+template <typename Value>
+using StringMap =
+    std::unordered_map<std::string, Value, StringHash, std::equal_to<>>;
 
 /// Splits `input` on `delim`, keeping empty fields ("a,,b" -> 3 fields).
 std::vector<std::string> Split(std::string_view input, char delim);

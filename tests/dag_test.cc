@@ -1,9 +1,15 @@
 #include "graph/dag.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/binary_snapshot.h"
+#include "core/system.h"
+#include "util/random.h"
 
 namespace ucr::graph {
 namespace {
@@ -231,28 +237,81 @@ TEST(DagMutationTest, EraseEdgeRemovesAdjacencyAndStampsDescendants) {
 }
 
 TEST(DagMutationTest, MutatedDagMatchesFromScratchRebuild) {
+  // Randomized churn against a model: surviving edges in the order
+  // they were (last) inserted. A DagBuilder fed that sequence is the
+  // from-scratch twin — both adjacency directions keep insertion
+  // order, and erasures keep the survivors' relative order, so the
+  // twin's lists (and its snapshot bytes) must match exactly even
+  // after the slack CSR has moved lists around and repacked its pools.
   Dag dag = BuildSmall();
-  const NodeId c = dag.FindNode("C");
-  const NodeId e = dag.EnsureNode("E");
-  ASSERT_TRUE(dag.InsertEdge(c, e).ok());
-  ASSERT_TRUE(dag.EraseEdge(dag.FindNode("A"), dag.FindNode("B")).ok());
+  // Copies share one name table until a node is created; the creating
+  // side clones it, so neither copy observes the other's new names.
+  const Dag before = dag;
+  Dag other = before;
+  ASSERT_EQ(other.EnsureNode("other"), 4u);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    for (const NodeId c : dag.children(v)) edges.emplace_back(v, c);
+  }
+  // BuildSmall's AddEdge order is parent-major already.
+  Random rng(20261017);
+  size_t repacks = 0;
+  for (int step = 0; step < 600; ++step) {
+    const uint64_t choice = rng.Uniform(8);
+    if (choice == 0 || dag.node_count() < 8) {
+      dag.EnsureNode("n" + std::to_string(step));
+      continue;
+    }
+    const auto p = static_cast<NodeId>(rng.Uniform(dag.node_count()));
+    if (choice <= 4) {
+      const auto c = static_cast<NodeId>(rng.Uniform(dag.node_count()));
+      const size_t slots = dag.adjacency_slots();
+      if (!dag.InsertEdge(p, c).ok()) continue;
+      if (dag.adjacency_slots() < slots) ++repacks;
+      edges.emplace_back(p, c);
+    } else if (!dag.children(p).empty()) {
+      const auto kids = dag.children(p);
+      const NodeId c = kids[rng.Uniform(kids.size())];
+      ASSERT_TRUE(dag.EraseEdge(p, c).ok());
+      edges.erase(std::find(edges.begin(), edges.end(), std::pair{p, c}));
+    }
+  }
+  EXPECT_GT(repacks, 0u);
+  ASSERT_GT(dag.node_count(), 4u);
+  EXPECT_EQ(dag.name(4), "n0");
+  EXPECT_EQ(dag.FindNode("other"), kInvalidNode);
+  EXPECT_EQ(other.FindNode("n0"), kInvalidNode);
+  EXPECT_EQ(before.node_count(), 4u);
+  EXPECT_EQ(before.edge_count(), 4u);
+  for (NodeId v = 0; v < before.node_count(); ++v) {
+    EXPECT_EQ(before.FindNode(before.name(v)), v);
+    EXPECT_EQ(other.name(v), before.name(v));
+  }
+  EXPECT_EQ(before.FindNode("n0"), kInvalidNode);
+  EXPECT_EQ(before.FindNode("other"), kInvalidNode);
 
   DagBuilder b;
   for (NodeId v = 0; v < dag.node_count(); ++v) b.AddNode(dag.name(v));
-  for (NodeId v = 0; v < dag.node_count(); ++v) {
-    for (NodeId child : dag.children(v)) {
-      ASSERT_TRUE(b.AddEdgeById(v, child).ok());
-    }
-  }
+  for (const auto& [p, c] : edges) ASSERT_TRUE(b.AddEdgeById(p, c).ok());
   auto rebuilt = std::move(b).Build();
   ASSERT_TRUE(rebuilt.ok());  // Still acyclic.
   EXPECT_EQ(rebuilt->node_count(), dag.node_count());
   EXPECT_EQ(rebuilt->edge_count(), dag.edge_count());
   for (NodeId v = 0; v < dag.node_count(); ++v) {
     EXPECT_EQ(rebuilt->name(v), dag.name(v));
-    // Parent mirror stays consistent with the child arrays.
-    for (NodeId p : dag.parents(v)) EXPECT_TRUE(dag.HasEdge(p, v));
+    EXPECT_EQ(dag.FindNode(dag.name(v)), v);
+    const auto kids = dag.children(v);
+    const auto twin_kids = rebuilt->children(v);
+    EXPECT_TRUE(std::equal(kids.begin(), kids.end(), twin_kids.begin(),
+                           twin_kids.end()));
+    const auto parents = dag.parents(v);
+    const auto twin_parents = rebuilt->parents(v);
+    EXPECT_TRUE(std::equal(parents.begin(), parents.end(),
+                           twin_parents.begin(), twin_parents.end()));
   }
+  EXPECT_EQ(core::EncodeBinarySnapshot(core::AccessControlSystem(dag), 7),
+            core::EncodeBinarySnapshot(
+                core::AccessControlSystem(std::move(rebuilt).value()), 7));
 
   // The topological order of the mutated dag is still a valid order.
   const std::vector<NodeId> order = dag.TopologicalOrder();

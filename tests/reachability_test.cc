@@ -1,10 +1,12 @@
 // Unit tests for the reachability index (src/graph/reachability.h,
-// DESIGN.md §12): Reaches() against a BFS oracle on both answer paths
+// DESIGN.md §12) and boolean reachability (src/graph/reach_query.h):
+// ReachQuery::Reaches() against a BFS oracle on both answer paths
 // (2-hop labels and the interval-filtered traversal), supernode
 // folding on the paper's Fig. 7b diamond stacks, incremental-rebuild
 // equivalence with a from-scratch build under randomized hierarchy and
-// row churn, budget-abort stickiness, and the million-node layered
-// generator's shape contract.
+// row churn (through label-pool repacks, with older generations
+// dropped under the newest), budget-abort stickiness, and the
+// million-node layered generator's shape contract.
 
 #include "graph/reachability.h"
 
@@ -13,10 +15,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "graph/dag.h"
+#include "graph/reach_query.h"
 #include "graph/generators.h"
 #include "util/random.h"
 
@@ -44,11 +49,12 @@ std::vector<uint8_t> ReachableFrom(const Dag& dag, NodeId a) {
   return seen;
 }
 
-void ExpectReachesMatchesOracle(const Dag& dag, const ReachabilityIndex& idx) {
+void ExpectReachesMatchesOracle(const Dag& dag, const ReachQuery& query) {
+  ASSERT_EQ(query.node_count(), dag.node_count());
   for (NodeId a = 0; a < dag.node_count(); ++a) {
     const std::vector<uint8_t> oracle = ReachableFrom(dag, a);
     for (NodeId b = 0; b < dag.node_count(); ++b) {
-      ASSERT_EQ(idx.Reaches(a, b), oracle[b] != 0)
+      ASSERT_EQ(query.Reaches(a, b), oracle[b] != 0)
           << dag.name(a) << " -> " << dag.name(b);
     }
   }
@@ -62,10 +68,10 @@ TEST(ReachabilityTest, ReachesMatchesBfsOracleViaTwoHopLabels) {
   shape.skip_edge_probability = 0.2;
   auto dag = GenerateLayeredDag(shape, rng);
   ASSERT_TRUE(dag.ok());
-  auto idx = ReachabilityIndex::Build(*dag, 1, {});
-  ASSERT_TRUE(idx->ready());
-  ASSERT_TRUE(idx->stats().two_hop_ready);
-  ExpectReachesMatchesOracle(*dag, *idx);
+  const ReachQuery query(*dag);
+  ASSERT_TRUE(query.two_hop_ready());
+  EXPECT_GT(query.two_hop_entries(), 0u);
+  ExpectReachesMatchesOracle(*dag, query);
 }
 
 TEST(ReachabilityTest, ReachesMatchesBfsOracleViaTraversalFallback) {
@@ -77,12 +83,12 @@ TEST(ReachabilityTest, ReachesMatchesBfsOracleViaTraversalFallback) {
   auto dag = GenerateLayeredDag(shape, rng);
   ASSERT_TRUE(dag.ok());
   // Above the (zeroed) 2-hop gate: interval fast-accept + filtered DFS.
-  ReachabilityOptions options;
+  ReachQueryOptions options;
   options.two_hop_max_nodes = 0;
-  auto idx = ReachabilityIndex::Build(*dag, 1, {}, options);
-  ASSERT_TRUE(idx->ready());
-  ASSERT_FALSE(idx->stats().two_hop_ready);
-  ExpectReachesMatchesOracle(*dag, *idx);
+  const ReachQuery query(*dag, options);
+  ASSERT_FALSE(query.two_hop_ready());
+  EXPECT_EQ(query.two_hop_entries(), 0u);
+  ExpectReachesMatchesOracle(*dag, query);
 }
 
 TEST(ReachabilityTest, DiamondStackFoldsToOneInteriorRegion) {
@@ -161,6 +167,35 @@ void ExpectIndexesEquivalent(const Dag& dag, const ReachabilityIndex& a,
   }
 }
 
+/// Every label of `idx`, entry by entry (class ids included) — for
+/// checking that a generation's labels survive dropping the others.
+std::vector<std::vector<ReachabilityIndex::ProfileEntry>> RawLabels(
+    const ReachabilityIndex& idx) {
+  std::vector<std::vector<ReachabilityIndex::ProfileEntry>> out;
+  for (NodeId v = 0; v < idx.node_count(); ++v) {
+    const auto l = idx.label(v);
+    out.emplace_back(l.begin(), l.end());
+  }
+  return out;
+}
+
+bool SameEntries(
+    const std::vector<std::vector<ReachabilityIndex::ProfileEntry>>& a,
+    const std::vector<std::vector<ReachabilityIndex::ProfileEntry>>& b) {
+  const auto same = [](const ReachabilityIndex::ProfileEntry& x,
+                       const ReachabilityIndex::ProfileEntry& y) {
+    return x.cls == y.cls && x.dis == y.dis && x.count == y.count;
+  };
+  if (a.size() != b.size()) return false;
+  for (size_t v = 0; v < a.size(); ++v) {
+    if (!std::equal(a[v].begin(), a[v].end(), b[v].begin(), b[v].end(),
+                    same)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(ReachabilityTest, IncrementalRebuildMatchesFullBuildUnderChurn) {
   Random rng(33);
   LayeredDagOptions shape;
@@ -184,11 +219,14 @@ TEST(ReachabilityTest, IncrementalRebuildMatchesFullBuildUnderChurn) {
   }
 
   uint64_t epoch = 1;
-  auto incremental =
-      ReachabilityIndex::Build(dag, epoch, RowsOf(rows));
-  ASSERT_TRUE(incremental->ready());
+  // Every generation stays alive until the end, so pools shared
+  // between them are exercised while several owners hold them.
+  std::vector<std::shared_ptr<const ReachabilityIndex>> generations = {
+      ReachabilityIndex::Build(dag, epoch, RowsOf(rows))};
+  ASSERT_TRUE(generations.back()->ready());
 
-  for (int step = 0; step < 24; ++step) {
+  size_t repacks = 0;
+  for (int step = 0; step < 96; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     std::vector<NodeId> affected;
     std::vector<ReachLabeledRow> changed;
@@ -226,14 +264,36 @@ TEST(ReachabilityTest, IncrementalRebuildMatchesFullBuildUnderChurn) {
       ++epoch;
     }
 
-    incremental = ReachabilityIndex::RebuildIncremental(
-        dag, epoch, incremental, affected, changed);
-    ASSERT_TRUE(incremental->ready());
+    const size_t pools_before = generations.back()->stats().label_pools;
+    generations.push_back(ReachabilityIndex::RebuildIncremental(
+        dag, epoch, generations.back(), affected, changed));
+    const ReachabilityIndex& incremental = *generations.back();
+    ASSERT_TRUE(incremental.ready());
+    const ReachabilityIndex::IndexStats stats = incremental.stats();
+    if (pools_before > 1 && stats.label_pools == 1) ++repacks;
     const auto fresh = ReachabilityIndex::Build(dag, epoch, RowsOf(rows));
     ASSERT_TRUE(fresh->ready());
-    ExpectIndexesEquivalent(dag, *incremental, *fresh);
-    ASSERT_EQ(incremental->dag_generation(), dag.generation());
+    ExpectIndexesEquivalent(dag, incremental, *fresh);
+    EXPECT_EQ(stats.label_entries, fresh->stats().label_entries);
+    ASSERT_EQ(incremental.dag_generation(), dag.generation());
+    // Boolean reachability is built on demand from the same graph.
+    ExpectReachesMatchesOracle(dag, ReachQuery(dag));
   }
+  EXPECT_GT(repacks, 0u);
+
+  // Drop every older generation: the newest must not depend on a pool
+  // only they kept alive (asan reports a read of a freed pool).
+  std::shared_ptr<const ReachabilityIndex> newest = generations.back();
+  const auto labels = RawLabels(*newest);
+  generations.clear();
+  EXPECT_TRUE(SameEntries(RawLabels(*newest), labels));
+  const auto fresh = ReachabilityIndex::Build(dag, epoch, RowsOf(rows));
+  ExpectIndexesEquivalent(dag, *newest, *fresh);
+
+  // A memberwise copy shares the pools and outlives its source.
+  const ReachabilityIndex copy(*newest);
+  newest.reset();
+  EXPECT_TRUE(SameEntries(RawLabels(copy), labels));
 }
 
 TEST(ReachabilityTest, LabelBudgetAbortIsStickyAcrossIncrementalRebuilds) {
@@ -256,8 +316,8 @@ TEST(ReachabilityTest, LabelBudgetAbortIsStickyAcrossIncrementalRebuilds) {
   tight.max_mean_label_entries = 1;
   auto idx = ReachabilityIndex::Build(dag, 1, rows, tight);
   EXPECT_FALSE(idx->ready());
-  // Boolean reachability stays exact without the profile labels.
-  ExpectReachesMatchesOracle(dag, *idx);
+  EXPECT_EQ(idx->stats().label_entries, 0u);
+  EXPECT_EQ(idx->stats().label_pools, 0u);
 
   // A later mutation cannot resurrect the labels from nothing: the
   // abort is sticky and callers keep the classic engine.

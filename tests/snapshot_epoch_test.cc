@@ -343,5 +343,33 @@ TEST(SnapshotSystemTest, DisabledPathFailsPrecondition) {
       system.CheckAccessSnapshot(0, acm::ObjectId{0}, acm::RightId{0}).ok());
 }
 
+TEST(SnapshotSystemTest, PinnedSnapshotNeverSeesSubjectCreatedAfterIt) {
+  // Snapshots share the writer's name table until an edit creates a
+  // subject; the creating write must clone the table, not append to
+  // the copy a pinned reader is looking at.
+  AccessControlSystem system = MakePaperSystem();
+  system.EnableSnapshotReads();
+  EXPECT_EQ(system.CheckAccessSnapshotByName("NewHire", "obj", "read")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  const SnapshotManager::ReadPin pinned = system.snapshots()->Pin();
+  ASSERT_TRUE(pinned);
+  const size_t pinned_nodes = pinned->dag.node_count();
+
+  ASSERT_TRUE(system.AddMembership("S2", "NewHire").ok());
+
+  EXPECT_EQ(pinned->dag.FindNode("NewHire"), graph::kInvalidNode);
+  EXPECT_EQ(pinned->dag.node_count(), pinned_nodes);
+  EXPECT_EQ(pinned->dag.FindNode("S2"), system.dag().FindNode("S2"));
+  // The next epoch resolves the new subject, like the master state.
+  const auto fresh =
+      system.CheckAccessSnapshotByName("NewHire", "obj", "read");
+  const auto master = system.CheckAccessByName("NewHire", "obj", "read");
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(master.ok());
+  EXPECT_EQ(*fresh, *master);
+}
+
 }  // namespace
 }  // namespace ucr::core
