@@ -4,12 +4,11 @@
 // Replays a skewed query workload (Zipf-ish: a few hot users dominate,
 // as in real systems) against the serving path — lock-free reads of
 // the published epoch snapshot (DESIGN.md §11) — with the snapshot's
-// tables off, with only the sub-graph table, and with both the
-// sub-graph and the decision table — once read-only, once with an
+// decision table off and on, each with the reachability index off
+// (every miss extracts and propagates) and on (every miss composes
+// from the index, as deployed) — once read-only, once with an
 // explicit-matrix update every 1000 queries (each publishes a new
-// epoch, carrying over what survives) to show invalidation cost. The
-// reachability index is off in those three rows so the sub-graph table
-// is on the query path; a fourth row adds it back, as deployed.
+// epoch, carrying over what survives) to show invalidation cost.
 
 #include <cstdio>
 #include <iostream>
@@ -124,22 +123,21 @@ int main() {
   constexpr size_t kQueries = 20000;
   constexpr uint64_t kSeed = 99;
 
-  std::cout << "== Ablation: snapshot decision & sub-graph tables (paper "
-               "§6, future work #1) ==\n"
+  std::cout << "== Ablation: snapshot decision table (paper §6, future "
+               "work #1) ==\n"
             << kQueries << " skewed queries, strategy D+LP-, read-only and "
             << "with one policy update per 1000 queries\n\n";
 
   struct Config {
     const char* name;
     bool resolution;
-    bool subgraph;
     bool reach_index;
   };
   const Config configs[] = {
-      {"no tables", false, false, false},
-      {"sub-graph table only", false, true, false},
-      {"both tables", true, true, false},
-      {"both tables + reach index", true, true, true},
+      {"no table", false, false},
+      {"decision table", true, false},
+      {"no table + reach index", false, true},
+      {"decision table + reach index", true, true},
   };
   obs::Counter& hits = obs::Registry::Global().GetCounter(
       "ucr_snapshot_resolution_hits_total", "");
@@ -159,7 +157,6 @@ int main() {
           MakeWorkload(system.dag(), kQueries, kSeed + 1, update_every);
       core::SnapshotReadOptions read;
       read.use_resolution_table = config.resolution;
-      read.use_subgraph_table = config.subgraph;
       const uint64_t hits_before = hits.Value();
       const uint64_t misses_before = misses.Value();
       const double ms = RunWorkload(system, spec, read);
@@ -185,10 +182,10 @@ int main() {
 
   std::cout << "\nThe decision table turns repeat decisions into two atomic "
                "loads, supporting the\npaper's conjecture that caching derived "
-               "authorizations pays off. An update costs\none publication: its "
-               "carry-over drops only the touched column's decisions, but\nthe "
-               "snapshot copy and the re-extraction of every resident sub-graph "
-               "are paid per\nupdate.\n";
+               "authorizations pays off. An update costs\none publication, "
+               "whose carry-over drops only the touched column's decisions;\n"
+               "the misses that follow re-derive on the scratch-arena hot path "
+               "or from the index.\n";
   ucr::bench_obs::EmitMetricsSnapshot("ablation_cache");
   return 0;
 }

@@ -254,13 +254,12 @@ int main(int argc, char** argv) {
 
   // -- batch_resolve: the serving path's batch engine. Every pass binds
   // a BatchResolver to a fresh epoch snapshot of the same state (built
-  // before the pass, outside the timing), so its decision and sub-graph
-  // tables start cold — the cold-pass shape of throughput_parallel's
-  // batch_resolve @1 thread, so the qps trajectory across PRs stays
-  // comparable. The snapshots carry no reachability index, so misses
-  // extract and propagate over the sub-graph table. Allocations here
-  // are that table filling (one AncestorSubgraph per distinct subject)
-  // — the honest serving cost.
+  // before the pass, outside the timing), so its decision table starts
+  // cold — the cold-pass shape of throughput_parallel's batch_resolve
+  // @1 thread, so the qps trajectory across PRs stays comparable. The
+  // snapshots carry no reachability index, so every miss runs the
+  // scratch-arena hot path: the cold pass must stay allocation-free
+  // per query, like resolve_access (the result vector is per batch).
   // batch_resolve_warm replays the pass over one already-warm
   // snapshot: every query is a decision-table hit.
   {
@@ -280,6 +279,13 @@ int main(int argc, char** argv) {
           auto batch = resolver.ResolveBatch(span, strategy);
           if (!batch.ok()) std::abort();
         }));
+    if (smoke && results.back().allocs_per_query > 0.01) {
+      std::fprintf(stderr,
+                   "FATAL: cold batch_resolve allocated %.4f per query; a "
+                   "snapshot miss must run the allocation-free hot path\n",
+                   results.back().allocs_per_query);
+      std::abort();
+    }
     core::BatchResolver warm(*cold.back());
     results.push_back(
         Measure("batch_resolve_warm", true, *queries, [&](auto span) {

@@ -1,7 +1,7 @@
 // Throughput of the parallel query-evaluation layer: sweeps thread
 // counts over a Livelink-shaped enterprise workload and reports
-// queries/sec, snapshot-table hit rates, and parallel effective-matrix
-// materialization times.
+// queries/sec, the snapshot decision-table hit rate, and parallel
+// effective-matrix materialization times.
 //
 // Each swept config also prints one machine-readable JSON line
 // (prefixed "JSON ") so the perf trajectory can be tracked across PRs
@@ -72,7 +72,7 @@ core::AccessControlSystem MakeSystem(uint64_t seed) {
 
 std::string JsonLine(const char* section, size_t threads, size_t queries,
                      double millis, double qps, double speedup,
-                     double hit_rate, double subgraph_hit_rate) {
+                     double hit_rate) {
   // On a host that grants a single core, every multi-threaded config
   // measures synchronization overhead, not scaling: mark those rows so
   // tools/bench_trend.py never reads a "regression" out of a
@@ -84,10 +84,9 @@ std::string JsonLine(const char* section, size_t threads, size_t queries,
       buffer, sizeof(buffer),
       "JSON {\"bench\":\"throughput_parallel\",\"section\":\"%s\","
       "\"threads\":%zu,\"queries\":%zu,\"millis\":%.3f,\"qps\":%.1f,"
-      "\"speedup_vs_1t\":%.3f,\"resolution_hit_rate\":%.4f,"
-      "\"subgraph_hit_rate\":%.4f%s}",
+      "\"speedup_vs_1t\":%.3f,\"resolution_hit_rate\":%.4f%s}",
       section, threads, queries, millis, qps, speedup, hit_rate,
-      subgraph_hit_rate, skipped_scaling ? ",\"skipped_scaling\":true" : "");
+      skipped_scaling ? ",\"skipped_scaling\":true" : "");
   return buffer;
 }
 
@@ -136,11 +135,11 @@ int main(int argc, char** argv) {
   // -- Section 1: BatchResolver over one epoch snapshot. -------------
   // Every thread count gets a fresh snapshot of the same state (built
   // outside the timing) so each pass starts cold; workers share its
-  // lock-free decision and sub-graph tables. No reachability index:
-  // misses extract and propagate over the sub-graph table.
-  std::cout << "-- BatchResolver (snapshot tables shared by workers) --\n";
+  // lock-free decision table. No reachability index: misses extract
+  // and propagate on each worker's scratch-arena hot path.
+  std::cout << "-- BatchResolver (snapshot table shared by workers) --\n";
   TablePrinter batch_table({"threads", "total ms", "queries/s", "speedup",
-                            "resolution hits", "subgraph hits"});
+                            "resolution hits"});
   std::vector<std::string> json_lines;
   double batch_baseline_ms = 0.0;
   for (const size_t threads : thread_counts) {
@@ -155,10 +154,6 @@ int main(int argc, char** argv) {
         SnapshotCounter("ucr_snapshot_resolution_hits_total");
     const uint64_t misses0 =
         SnapshotCounter("ucr_snapshot_resolution_misses_total");
-    const uint64_t sub_hits0 =
-        SnapshotCounter("ucr_snapshot_subgraph_hits_total");
-    const uint64_t sub_misses0 =
-        SnapshotCounter("ucr_snapshot_subgraph_misses_total");
     Stopwatch watch;
     auto results = resolver.ResolveBatch(*queries, strategy);
     const double ms = watch.ElapsedMillis();
@@ -168,17 +163,13 @@ int main(int argc, char** argv) {
     const double hit_rate = Rate(
         SnapshotCounter("ucr_snapshot_resolution_hits_total") - hits0,
         SnapshotCounter("ucr_snapshot_resolution_misses_total") - misses0);
-    const double subgraph_hit_rate = Rate(
-        SnapshotCounter("ucr_snapshot_subgraph_hits_total") - sub_hits0,
-        SnapshotCounter("ucr_snapshot_subgraph_misses_total") - sub_misses0);
     const double qps = static_cast<double>(kQueries) / (ms / 1000.0);
     const double speedup = batch_baseline_ms / ms;
     batch_table.AddRow({std::to_string(threads), FormatDouble(ms, 1),
                         FormatDouble(qps, 0), FormatDouble(speedup, 2) + "x",
-                        FormatDouble(100.0 * hit_rate, 1) + "%",
-                        FormatDouble(100.0 * subgraph_hit_rate, 1) + "%"});
+                        FormatDouble(100.0 * hit_rate, 1) + "%"});
     json_lines.push_back(JsonLine("batch_resolve", threads, kQueries, ms,
-                                  qps, speedup, hit_rate, subgraph_hit_rate));
+                                  qps, speedup, hit_rate));
   }
   batch_table.Print(std::cout);
 
@@ -201,14 +192,14 @@ int main(int argc, char** argv) {
                          FormatDouble(cps, 1),
                          FormatDouble(speedup, 2) + "x"});
     json_lines.push_back(JsonLine("materialize", threads, column_count, ms,
-                                  cps, speedup, 0.0, 0.0));
+                                  cps, speedup, 0.0));
   }
   matrix_table.Print(std::cout);
 
-  std::cout << "\nWorkers share warm sub-graphs and decisions through the "
-               "snapshot's lock-free\ntables instead of re-deriving them, so "
-               "added threads scale the independent\nwork (propagation) "
-               "without duplicating the shared state.\n\n";
+  std::cout << "\nWorkers share decisions through the snapshot's "
+               "lock-free table instead of\nre-deriving them, so added threads "
+               "scale the independent work (extraction\nand propagation on "
+               "per-thread scratch) without duplicating shared state.\n\n";
   for (const std::string& line : json_lines) std::cout << line << "\n";
   ucr::bench_obs::EmitMetricsSnapshot("throughput_parallel");
   return 0;

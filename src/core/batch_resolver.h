@@ -27,7 +27,7 @@ struct BatchResolverOptions {
 ///
 /// Every query runs `SnapshotResolveAccess` against the bound
 /// snapshot, so the workers share the snapshot's lock-free decision
-/// and sub-graph tables: a decision one worker derives is a table hit
+/// table: a decision one worker derives is a table hit
 /// for every other worker and for every later batch over the same
 /// epoch. Decisions are deterministic, therefore bit-identical to the
 /// serial engines' for any thread count (the differential tests assert

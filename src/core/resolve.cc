@@ -22,11 +22,17 @@ using acm::PropagatedMode;
 /// handles are interned once; per-query cost is two clock reads, one
 /// sharded increment, and one sharded observe — all lock-free and
 /// allocation-free, so the §7 zero-allocation bound holds with
-/// metrics ON (asserted by tests/hotpath_alloc_test.cc).
+/// metrics ON (asserted by tests/hotpath_alloc_test.cc). Direct calls
+/// and snapshot reads report their latency and indexed queries under
+/// their own names (`QuerySurface`).
 struct ResolveMetrics {
   obs::Counter& indexed = obs::Registry::Global().GetCounter(
       "ucr_resolve_indexed_queries_total",
       "ResolveAccess queries answered by the reachability index");
+  obs::Counter& snapshot_indexed = obs::Registry::Global().GetCounter(
+      "ucr_snapshot_indexed_queries_total",
+      "Snapshot queries whose sink bag was composed from the reachability "
+      "index (no sub-graph extraction)");
   obs::Histogram& compressed_entries = obs::Registry::Global().GetHistogram(
       "ucr_reach_compressed_entries",
       "Composed-bag entries per indexed query (log2 buckets)");
@@ -44,45 +50,14 @@ struct ResolveMetrics {
       "ResolveAccess queries answered by the paper-literal tuple engine");
   obs::Histogram& latency = obs::Registry::Global().GetHistogram(
       "ucr_resolve_latency_ns", "End-to-end ResolveAccess latency (ns)");
+  obs::Histogram& snapshot_latency = obs::Registry::Global().GetHistogram(
+      "ucr_snapshot_query_latency_ns",
+      "SnapshotResolveAccess latency, table hits included (ns)");
 };
 
 ResolveMetrics& GetResolveMetrics() {
   static ResolveMetrics* metrics = new ResolveMetrics();
   return *metrics;
-}
-
-/// Fills a tracer record from the query identity, the span clock
-/// stamps, and the Fig. 4 trace, then hands it to the global sampler.
-[[gnu::noinline, gnu::cold]] void RecordQueryTrace(graph::NodeId subject, acm::ObjectId object,
-                      acm::RightId right, const Strategy& canonical,
-                      bool fast_path, uint64_t t_start, uint64_t t_extract,
-                      uint64_t t_propagate, uint64_t t_end,
-                      const ResolveTrace& trace,
-                      const obs::PhaseBreakdown& phases) {
-  obs::QueryTraceRecord record;
-  record.subject = subject;
-  record.object = object;
-  record.right = right;
-  record.strategy_index = canonical.CanonicalIndex();
-  record.fast_path = fast_path;
-  record.extract_ns = t_extract - t_start;
-  record.propagate_ns = t_propagate - t_extract;
-  record.resolve_ns = t_end - t_propagate;
-  record.total_ns = t_end - t_start;
-  record.phases = phases;
-  record.has_majority = trace.c1.has_value();
-  record.c1 = trace.c1.value_or(0);
-  record.c2 = trace.c2.value_or(0);
-  record.auth_computed = trace.auth_computed;
-  record.auth_has_positive = trace.auth_has_positive;
-  record.auth_has_negative = trace.auth_has_negative;
-  record.returned_line = trace.returned_line;
-  record.granted = trace.result == Mode::kPositive;
-  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
-  // Exemplar: the latency histogram keeps this sample's trace id so
-  // /tracez can resolve a tail bucket back to its Fig. 4 derivation.
-  GetResolveMetrics().latency.RecordExemplar(record.total_ns, sequence,
-                                             subject, object, right);
 }
 
 uint64_t SatAdd(uint64_t a, uint64_t b) {
@@ -471,6 +446,20 @@ acm::Mode ResolveEntries(std::span<const RightsEntry> all_rights,
   return t.result;
 }
 
+namespace {
+
+/// Online shadow-verification oracle (DESIGN.md §9): re-resolves one
+/// hot-path decision with the classic engines (ancestor-sub-graph
+/// extraction, aggregated propagation, Fig. 4 `Resolve`) and compares
+/// decision *and* derivation (c1/c2, Auth set, returned line) bit for
+/// bit. A divergence is counted (`ucr_shadow_mismatch_total`), retained
+/// in the mismatch dump, and emitted as an audit event carrying both
+/// derivations. Its heap traffic runs under an allocation-exclusion
+/// scope, so the hot path's 0-allocs/query bound refers to unshadowed
+/// queries. When the decision came from the reachability index,
+/// `indexed_bag_entries` is the composed bag's size; the oracle's
+/// extraction then doubles as the `ucr_reach_pruned_nodes` probe (the
+/// sub-graph members the index never touched).
 [[gnu::noinline, gnu::cold]] void ShadowVerifyDecision(
     const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     graph::NodeId subject, acm::ObjectId object, acm::RightId right,
@@ -550,6 +539,99 @@ acm::Mode ResolveEntries(std::span<const RightsEntry> all_rights,
   verifier.RecordMismatch(std::move(mismatch));
 }
 
+}  // namespace
+
+[[gnu::noinline, gnu::cold]] void QuerySpan::Record(
+    graph::NodeId subject, acm::ObjectId object, acm::RightId right,
+    const Strategy& canonical, bool fast_path, uint64_t t_extract,
+    uint64_t t_propagate, const ResolveTrace* trace, acm::Mode mode) const {
+  const uint64_t t_end = obs::NowNs();
+  obs::QueryTraceRecord record =
+      trace != nullptr ? Fig4Record(*trace) : obs::QueryTraceRecord{};
+  record.subject = subject;
+  record.object = object;
+  record.right = right;
+  record.strategy_index = canonical.CanonicalIndex();
+  record.fast_path = fast_path;
+  record.resolution_cache_hit = trace == nullptr;
+  if (trace != nullptr) {
+    record.extract_ns = t_extract - t_start_;
+    record.propagate_ns = t_propagate - t_extract;
+    record.resolve_ns = t_end - t_propagate;
+  }
+  record.total_ns = t_end - t_start_;
+  record.phases = phases_.Snapshot();
+  record.granted = mode == Mode::kPositive;
+  obs::Histogram& latency = surface_ == QuerySurface::kSnapshot
+                                ? GetResolveMetrics().snapshot_latency
+                                : GetResolveMetrics().latency;
+  latency.Observe(record.total_ns);
+  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
+  // Exemplar: the latency histogram keeps this sample's trace id so
+  // /tracez can resolve a tail bucket back to its Fig. 4 derivation.
+  latency.RecordExemplar(record.total_ns, sequence, subject, object, right);
+}
+
+acm::Mode ResolveOnHotPath(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
+                           const graph::ReachabilityIndex* usable_index,
+                           graph::NodeId subject, acm::ObjectId object,
+                           acm::RightId right, const Strategy& canonical,
+                           PropagationMode mode, const QuerySpan& span,
+                           ResolveTrace* trace, PropagateStats* stats) {
+  PropagateOptions prop_options;
+  prop_options.propagation_mode = mode;
+  std::span<const RightsEntry> sink_bag;
+  uint64_t t_extract = 0;
+  if (usable_index != nullptr) {
+    // Reachability-index path (DESIGN.md §12): the sink bag is composed
+    // from the subject's compressed label in O(label) — no extraction,
+    // no propagation.
+    sink_bag =
+        ComposeIndexedSinkBag(*usable_index, subject, object, right, mode);
+    t_extract = span.Stamp();
+  } else {
+    // Allocation-free hot path (DESIGN.md §7): scratch-arena
+    // extraction, sparse column staging, flat propagation. Steady
+    // state touches no heap.
+    HotPath& hot = HotPath::ThreadLocal();
+    const graph::ScratchSubgraphView view = hot.scratch.Extract(dag, subject);
+    t_extract = span.Stamp();
+    hot.propagator.SetLabels(eacm.Column(object, right), dag.node_count());
+    sink_bag = hot.propagator.PropagateSink(view, prop_options, stats);
+  }
+  const uint64_t t_propagate = span.Stamp();
+  // Shadow verification (DESIGN.md §9) compares the Fig. 4 trace bit
+  // for bit, so a shadowed query also fills the stack-local trace.
+  const bool shadowed = obs::ShadowVerifier::ShouldShadow();
+  ResolveTrace sampled_trace;
+  ResolveTrace* trace_out =
+      trace != nullptr
+          ? trace
+          : (span.sampled() || shadowed ? &sampled_trace : nullptr);
+  const acm::Mode decision = ResolveEntries(sink_bag, canonical, trace_out);
+  if constexpr (obs::kEnabled) {
+    ResolveMetrics& m = GetResolveMetrics();
+    const bool snapshot = span.surface() == QuerySurface::kSnapshot;
+    if (usable_index != nullptr) {
+      (snapshot ? m.snapshot_indexed : m.indexed).Inc();
+      m.compressed_entries.Observe(sink_bag.size());
+    } else if (!snapshot) {
+      m.fast.Inc();  // Snapshot reads count every query in one counter.
+    }
+    if (span.sampled()) [[unlikely]] {
+      span.Record(subject, object, right, canonical, /*fast_path=*/true,
+                  t_extract, t_propagate, trace_out, decision);
+    }
+    if (shadowed) [[unlikely]] {
+      ShadowVerifyDecision(dag, eacm, subject, object, right, canonical,
+                           prop_options, decision, *trace_out,
+                           usable_index != nullptr ? sink_bag.size()
+                                                   : SIZE_MAX);
+    }
+  }
+  return decision;
+}
+
 StatusOr<acm::Mode> ResolveAccess(const graph::Dag& dag,
                                   const acm::ExplicitAcm& eacm,
                                   graph::NodeId subject, acm::ObjectId object,
@@ -567,103 +649,31 @@ StatusOr<acm::Mode> ResolveAccess(const graph::Dag& dag,
   if (right >= eacm.right_count()) {
     return Status::OutOfRange("right id out of range");
   }
+  const Strategy canonical = strategy.Canonical();
+  // Per-query telemetry; the histogram is a sampled distribution
+  // (ucr_admin's sweep runs at interval 1 to make it exhaustive), and
+  // everything vanishes under UCR_METRICS=OFF. The span is also the
+  // owner scope of this query's phase attribution — a no-op when the
+  // caller (e.g. a profiled batch) already owns one.
+  const QuerySpan span(QuerySurface::kResolve);
+
+  // `stats` describe the traversal the index skips, so their presence
+  // forces the extraction path (which reports them exactly); decisions
+  // and traces are bit-identical either way.
+  const bool indexed = stats == nullptr && !options.use_literal_engine &&
+                       ReachIndexUsable(reach_index, dag, eacm, options);
+  if (indexed || (options.use_fast_path && !options.use_literal_engine)) {
+    return ResolveOnHotPath(dag, eacm, indexed ? reach_index : nullptr,
+                            subject, object, right, canonical,
+                            options.propagation_mode, span, trace, stats);
+  }
 
   PropagateOptions prop_options;
   prop_options.propagation_mode = options.propagation_mode;
-
-  // Per-query telemetry. Unsampled queries pay only the sampler's
-  // thread-local countdown plus one counter increment; clock reads and
-  // the latency histogram fire only for sampled queries, so the
-  // histogram is a sampled distribution (ucr_admin's sweep runs at
-  // interval 1 to make it exhaustive). Everything vanishes under
-  // UCR_METRICS=OFF.
-  const bool sampled = obs::QueryTracer::ShouldSample();
-  const uint64_t t_start = sampled ? obs::NowNs() : 0;
-
-  // Owner scope of this query's phase attribution (DESIGN.md §14): the
-  // component-internal phase timers arm only when a collection is
-  // active. A no-op when the caller (CheckAccess, the batch resolver,
-  // a snapshot) already owns the scope, or when unsampled.
-  obs::ScopedPhaseCollection phases(sampled);
-
-  // Reachability-index path (DESIGN.md §12): the sink bag is composed
-  // from the subject's compressed label in O(label) — no extraction,
-  // no propagation. `stats` describe the traversal this path skips,
-  // so their presence forces the fast path (which reports them
-  // exactly); decisions and traces are bit-identical either way.
-  if (stats == nullptr && !options.use_literal_engine &&
-      ReachIndexUsable(reach_index, dag, eacm, options)) {
-    const std::span<const RightsEntry> sink_bag = ComposeIndexedSinkBag(
-        *reach_index, subject, object, right, options.propagation_mode);
-    const uint64_t t_compose = sampled ? obs::NowNs() : 0;
-    const bool shadowed = obs::ShadowVerifier::ShouldShadow();
-    ResolveTrace sampled_trace;
-    ResolveTrace* trace_out =
-        trace != nullptr ? trace
-                         : (sampled || shadowed ? &sampled_trace : nullptr);
-    const acm::Mode mode = ResolveEntries(sink_bag, strategy, trace_out);
-    if constexpr (obs::kEnabled) {
-      ResolveMetrics& m = GetResolveMetrics();
-      m.indexed.Inc();
-      m.compressed_entries.Observe(sink_bag.size());
-      if (sampled) [[unlikely]] {
-        const uint64_t t_end = obs::NowNs();
-        m.latency.Observe(t_end - t_start);
-        RecordQueryTrace(subject, object, right, strategy.Canonical(),
-                         /*fast_path=*/true, t_start, t_compose, t_compose,
-                         t_end, *trace_out, phases.Snapshot());
-      }
-      if (shadowed) [[unlikely]] {
-        ShadowVerifyDecision(dag, eacm, subject, object, right,
-                             strategy.Canonical(), prop_options, mode,
-                             *trace_out, sink_bag.size());
-      }
-    }
-    return mode;
-  }
-
-  if (options.use_fast_path && !options.use_literal_engine) {
-    // Allocation-free hot path (DESIGN.md §7): scratch-arena
-    // extraction, sparse column staging, flat propagation, streaming
-    // resolve. Steady state touches no heap.
-    HotPath& hot = HotPath::ThreadLocal();
-    const graph::ScratchSubgraphView view = hot.scratch.Extract(dag, subject);
-    const uint64_t t_extract = sampled ? obs::NowNs() : 0;
-    hot.propagator.SetLabels(eacm.Column(object, right), dag.node_count());
-    const std::span<const RightsEntry> sink_bag =
-        hot.propagator.PropagateSink(view, prop_options, stats);
-    const uint64_t t_propagate = sampled ? obs::NowNs() : 0;
-    // Shadow verification (DESIGN.md §9) needs the fast path's Fig. 4
-    // trace for the bit-for-bit comparison, so a shadowed query also
-    // fills the stack-local trace.
-    const bool shadowed = obs::ShadowVerifier::ShouldShadow();
-    ResolveTrace sampled_trace;
-    ResolveTrace* trace_out =
-        trace != nullptr ? trace
-                         : (sampled || shadowed ? &sampled_trace : nullptr);
-    const acm::Mode mode = ResolveEntries(sink_bag, strategy, trace_out);
-    if constexpr (obs::kEnabled) {
-      GetResolveMetrics().fast.Inc();
-      if (sampled) [[unlikely]] {
-        const uint64_t t_end = obs::NowNs();
-        GetResolveMetrics().latency.Observe(t_end - t_start);
-        RecordQueryTrace(subject, object, right, strategy.Canonical(),
-                         /*fast_path=*/true, t_start, t_extract, t_propagate,
-                         t_end, *trace_out, phases.Snapshot());
-      }
-      if (shadowed) [[unlikely]] {
-        ShadowVerifyDecision(dag, eacm, subject, object, right,
-                             strategy.Canonical(), prop_options, mode,
-                             *trace_out);
-      }
-    }
-    return mode;
-  }
-
   const graph::AncestorSubgraph sub(dag, subject);
   const std::vector<std::optional<acm::Mode>> labels =
       eacm.ExtractLabels(dag.node_count(), object, right);
-  const uint64_t t_extract = sampled ? obs::NowNs() : 0;
+  const uint64_t t_extract = span.Stamp();
 
   RightsBag all_rights;
   if (options.use_literal_engine) {
@@ -673,20 +683,17 @@ StatusOr<acm::Mode> ResolveAccess(const graph::Dag& dag,
   } else {
     all_rights = PropagateAggregated(sub, labels, prop_options, stats);
   }
-  const uint64_t t_propagate = sampled ? obs::NowNs() : 0;
+  const uint64_t t_propagate = span.Stamp();
   ResolveTrace sampled_trace;
   ResolveTrace* trace_out =
-      trace != nullptr ? trace : (sampled ? &sampled_trace : nullptr);
-  const acm::Mode mode = Resolve(all_rights, strategy, trace_out);
+      trace != nullptr ? trace : (span.sampled() ? &sampled_trace : nullptr);
+  const acm::Mode mode = Resolve(all_rights, canonical, trace_out);
   if constexpr (obs::kEnabled) {
     ResolveMetrics& m = GetResolveMetrics();
     (options.use_literal_engine ? m.literal : m.classic).Inc();
-    if (sampled) [[unlikely]] {
-      const uint64_t t_end = obs::NowNs();
-      m.latency.Observe(t_end - t_start);
-      RecordQueryTrace(subject, object, right, strategy.Canonical(),
-                       /*fast_path=*/false, t_start, t_extract, t_propagate,
-                       t_end, *trace_out, phases.Snapshot());
+    if (span.sampled()) [[unlikely]] {
+      span.Record(subject, object, right, canonical, /*fast_path=*/false,
+                  t_extract, t_propagate, trace_out, mode);
     }
   }
   return mode;

@@ -13,6 +13,8 @@
 #include "core/strategy.h"
 #include "graph/dag.h"
 #include "graph/reachability.h"
+#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/status.h"
 
 namespace ucr::core {
@@ -122,6 +124,68 @@ std::span<const RightsEntry> ComposeIndexedSinkBag(
     const graph::ReachabilityIndex& index, graph::NodeId subject,
     acm::ObjectId object, acm::RightId right, PropagationMode mode);
 
+/// Metric family a query reports under (DESIGN.md §8): direct
+/// `ResolveAccess` calls under `ucr_resolve_*`, snapshot reads under
+/// `ucr_snapshot_*`, so /statz keeps telling the two surfaces apart.
+enum class QuerySurface : uint8_t { kResolve, kSnapshot };
+
+/// \brief Telemetry of one query, opened by its entry point before any
+/// work: the query's one `ShouldSample()` tick, its start stamp, and
+/// its phase-attribution owner scope (DESIGN.md §14). Unsampled queries
+/// pay only the sampler's thread-local countdown; clock reads happen
+/// only for sampled ones, which `Record` exactly once.
+class QuerySpan {
+ public:
+  explicit QuerySpan(QuerySurface surface)
+      : surface_(surface),
+        sampled_(obs::QueryTracer::ShouldSample()),
+        t_start_(sampled_ ? obs::NowNs() : 0),
+        phases_(sampled_) {}
+
+  QuerySpan(const QuerySpan&) = delete;
+  QuerySpan& operator=(const QuerySpan&) = delete;
+
+  QuerySurface surface() const { return surface_; }
+  bool sampled() const { return sampled_; }
+
+  /// Clock stamp of a stage boundary; 0, with no clock read, when the
+  /// query is unsampled.
+  uint64_t Stamp() const { return sampled_ ? obs::NowNs() : 0; }
+
+  /// The sampled query's one latency observation (into the surface's
+  /// histogram), one tracer record — stage spans plus `trace`'s Fig. 4
+  /// derivation — and one exemplar linking the two. A null `trace`
+  /// marks a decision-table hit: no derivation, no stage spans.
+  void Record(graph::NodeId subject, acm::ObjectId object, acm::RightId right,
+              const Strategy& canonical, bool fast_path, uint64_t t_extract,
+              uint64_t t_propagate, const ResolveTrace* trace,
+              acm::Mode mode) const;
+
+ private:
+  const QuerySurface surface_;
+  const bool sampled_;
+  const uint64_t t_start_;
+  obs::ScopedPhaseCollection phases_;
+};
+
+/// \brief Steps 1–4 on the allocation-free engines: the pipeline of
+/// `ResolveAccess` and of a `SnapshotResolveAccess` decision-table miss.
+///
+/// The sink bag is composed from `usable_index` when it is non-null
+/// (the caller has checked `ReachIndexUsable` and that no `stats` are
+/// requested); otherwise the subject's ancestor sub-graph is extracted
+/// into the thread's `HotPath` scratch and flat-propagated. Then
+/// `ResolveEntries`, the surface's engine counter, the sampled trace
+/// record, and the shadow check (`obs::ShadowVerifier::ShouldShadow()`
+/// re-derives the query with the classic engines, DESIGN.md §9). Ids
+/// must be in range; steady state allocates nothing.
+acm::Mode ResolveOnHotPath(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
+                           const graph::ReachabilityIndex* usable_index,
+                           graph::NodeId subject, acm::ObjectId object,
+                           acm::RightId right, const Strategy& canonical,
+                           PropagationMode mode, const QuerySpan& span,
+                           ResolveTrace* trace, PropagateStats* stats);
+
 /// \brief End-to-end conflict resolution for one ⟨subject, object,
 /// right⟩ triple: extracts the subject's ancestor sub-graph (Step 1),
 /// propagates labels (Steps 2–3), and resolves (Step 4). When a
@@ -135,30 +199,6 @@ StatusOr<acm::Mode> ResolveAccess(
     const Strategy& strategy, const ResolveAccessOptions& options = {},
     ResolveTrace* trace = nullptr, PropagateStats* stats = nullptr,
     const graph::ReachabilityIndex* reach_index = nullptr);
-
-/// \brief Online shadow-verification oracle (DESIGN.md §9): re-resolves
-/// one fast-path decision with the classic engines (ancestor-sub-graph
-/// extraction, aggregated propagation, Fig. 4 `Resolve`) and compares
-/// decision *and* derivation (c1/c2, Auth set, returned line)
-/// bit-for-bit against the fast path's. A divergence is counted
-/// (`ucr_shadow_mismatch_total`), retained in the mismatch dump, and
-/// emitted as an audit event carrying both derivations.
-///
-/// Called by `ResolveAccess`/`SnapshotResolveAccess` for queries
-/// (snapshot: table misses) selected by
-/// `obs::ShadowVerifier::ShouldShadow()`. Cold path; its heap traffic
-/// runs under an allocation-exclusion scope, so the hot path's
-/// 0-allocs/query bound refers to unshadowed queries.
-/// When the shadowed decision came from the reachability index,
-/// `indexed_bag_entries` is the composed bag's size; the oracle's
-/// extraction then doubles as the `ucr_reach_pruned_nodes` probe (the
-/// sub-graph members the index never touched).
-void ShadowVerifyDecision(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
-                          graph::NodeId subject, acm::ObjectId object,
-                          acm::RightId right, const Strategy& canonical,
-                          const PropagateOptions& prop_options,
-                          acm::Mode fast_mode, const ResolveTrace& fast_trace,
-                          size_t indexed_bag_entries = SIZE_MAX);
 
 }  // namespace ucr::core
 

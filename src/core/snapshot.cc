@@ -1,15 +1,11 @@
 #include "core/snapshot.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <thread>
 
-#include "core/flat_propagate.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/shadow.h"
-#include "obs/trace.h"
 
 namespace ucr::core {
 
@@ -42,30 +38,15 @@ struct SnapshotMetrics {
       "ucr_epoch_carryover_resolution_total",
       "Resolved decisions carried into a new snapshot by the generation/"
       "column-epoch filter");
-  obs::Counter& carryover_subgraphs = obs::Registry::Global().GetCounter(
-      "ucr_epoch_carryover_subgraphs_total",
-      "Ancestor sub-graphs re-extracted warm into a new snapshot");
   obs::Counter& queries = obs::Registry::Global().GetCounter(
       "ucr_snapshot_queries_total",
       "Queries answered by the lock-free snapshot path");
-  obs::Histogram& latency = obs::Registry::Global().GetHistogram(
-      "ucr_snapshot_query_latency_ns",
-      "SnapshotResolveAccess latency, table hits included (ns)");
   obs::Counter& resolution_hits = obs::Registry::Global().GetCounter(
       "ucr_snapshot_resolution_hits_total",
       "Snapshot resolution-table hits");
   obs::Counter& resolution_misses = obs::Registry::Global().GetCounter(
       "ucr_snapshot_resolution_misses_total",
       "Snapshot resolution-table misses");
-  obs::Counter& subgraph_hits = obs::Registry::Global().GetCounter(
-      "ucr_snapshot_subgraph_hits_total", "Snapshot sub-graph table hits");
-  obs::Counter& subgraph_misses = obs::Registry::Global().GetCounter(
-      "ucr_snapshot_subgraph_misses_total",
-      "Snapshot sub-graph table misses");
-  obs::Counter& indexed = obs::Registry::Global().GetCounter(
-      "ucr_snapshot_indexed_queries_total",
-      "Snapshot queries whose sink bag was composed from the reachability "
-      "index (no sub-graph extraction)");
 };
 
 SnapshotMetrics& GetSnapshotMetrics() {
@@ -75,46 +56,6 @@ SnapshotMetrics& GetSnapshotMetrics() {
 
 size_t RoundUpPow2(size_t n) {
   return n < 2 ? 2 : std::bit_ceil(n);
-}
-
-/// Same Fig. 4 payload as the other tracers; the snapshot path is the
-/// hot-path engine, so fast_path is set.
-[[gnu::noinline, gnu::cold]] void RecordSnapshotTrace(
-    graph::NodeId subject, acm::ObjectId object, acm::RightId right,
-    const Strategy& canonical, bool resolution_hit, bool subgraph_hit,
-    uint64_t t_start, uint64_t t_extract, uint64_t t_propagate, uint64_t t_end,
-    const ResolveTrace* trace, acm::Mode mode,
-    const obs::PhaseBreakdown& phases) {
-  obs::QueryTraceRecord record;
-  record.subject = subject;
-  record.object = object;
-  record.right = right;
-  record.strategy_index = canonical.CanonicalIndex();
-  record.fast_path = true;
-  record.resolution_cache_hit = resolution_hit;
-  record.subgraph_cache_hit = subgraph_hit;
-  if (!resolution_hit) {
-    record.extract_ns = t_extract - t_start;
-    record.propagate_ns = t_propagate - t_extract;
-    record.resolve_ns = t_end - t_propagate;
-  }
-  record.total_ns = t_end - t_start;
-  record.phases = phases;
-  if (trace != nullptr) {
-    record.has_majority = trace->c1.has_value();
-    record.c1 = trace->c1.value_or(0);
-    record.c2 = trace->c2.value_or(0);
-    record.auth_computed = trace->auth_computed;
-    record.auth_has_positive = trace->auth_has_positive;
-    record.auth_has_negative = trace->auth_has_negative;
-    record.returned_line = trace->returned_line;
-  }
-  record.granted = mode == acm::Mode::kPositive;
-  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
-  // Exemplar: link this sample's tail-latency bucket to its trace so
-  // /tracez can recover the full Fig. 4 derivation.
-  GetSnapshotMetrics().latency.RecordExemplar(record.total_ns, sequence,
-                                              subject, object, right);
 }
 
 }  // namespace
@@ -187,67 +128,6 @@ bool EpochResolutionTable::TryStore(graph::NodeId subject,
     }
   }
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// EpochSubgraphTable
-
-EpochSubgraphTable::EpochSubgraphTable(size_t capacity)
-    : slots_(RoundUpPow2(capacity)) {
-  mask_ = slots_.size() - 1;
-  max_load_ = slots_.size() - slots_.size() / 4;
-}
-
-EpochSubgraphTable::~EpochSubgraphTable() {
-  for (Slot& slot : slots_) {
-    delete slot.sub.load(std::memory_order_acquire);
-  }
-}
-
-const graph::AncestorSubgraph* EpochSubgraphTable::Find(
-    graph::NodeId subject) const {
-  obs::ScopedPhaseTimer phase_timer(obs::Phase::kCacheProbe);
-  const uint64_t key = static_cast<uint64_t>(subject) + 1;
-  size_t idx = SeedIndex(subject);
-  for (size_t i = 0; i < kMaxProbes; ++i, idx = (idx + 1) & mask_) {
-    const Slot& slot = slots_[idx];
-    const uint64_t existing = slot.key.load(std::memory_order_acquire);
-    if (existing == 0) return nullptr;
-    if (existing != key) continue;
-    // The key is claimed before the pointer is published; a null read
-    // here means the installer is mid-flight — treat as a miss.
-    return slot.sub.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-const graph::AncestorSubgraph* EpochSubgraphTable::Install(
-    graph::NodeId subject,
-    std::unique_ptr<const graph::AncestorSubgraph>& sub) const {
-  obs::ScopedPhaseTimer phase_timer(obs::Phase::kCacheProbe);
-  const uint64_t key = static_cast<uint64_t>(subject) + 1;
-  size_t idx = SeedIndex(subject);
-  for (size_t i = 0; i < kMaxProbes; ++i, idx = (idx + 1) & mask_) {
-    Slot& slot = slots_[idx];
-    uint64_t existing = slot.key.load(std::memory_order_acquire);
-    if (existing == 0) {
-      if (size_.load(std::memory_order_relaxed) >= max_load_) break;
-      if (slot.key.compare_exchange_strong(existing, key,
-                                           std::memory_order_acq_rel)) {
-        const graph::AncestorSubgraph* installed = sub.release();
-        slot.sub.store(installed, std::memory_order_release);
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return installed;
-      }
-      // Lost the claim; `existing` holds the racer's key.
-    }
-    if (existing != key) continue;
-    const graph::AncestorSubgraph* resident =
-        slot.sub.load(std::memory_order_acquire);
-    // Racer's pointer store still in flight: use our own extraction.
-    return resident != nullptr ? resident : sub.get();
-  }
-  return sub.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -365,124 +245,46 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
   }
   const Strategy canonical = strategy.Canonical();
   const uint8_t strategy_index = canonical.CanonicalIndex();
-  const bool sampled = obs::QueryTracer::ShouldSample();
-  const uint64_t t_start = sampled ? obs::NowNs() : 0;
-  // Phase-attribution owner scope (DESIGN.md §14).
-  obs::ScopedPhaseCollection phase_scope(sampled);
+  const QuerySpan span(QuerySurface::kSnapshot);
+  if constexpr (obs::kEnabled) GetSnapshotMetrics().queries.Inc();
 
   // A memoized decision has no derivation, so a caller asking for the
   // trace or stats always re-derives (and skips the redundant store:
   // the entry is necessarily present already or will be stored by an
   // untraced query).
-  const bool want_derivation = trace != nullptr || stats != nullptr;
-  if (options.use_resolution_table && !want_derivation) {
+  const bool use_table =
+      options.use_resolution_table && trace == nullptr && stats == nullptr;
+  if (use_table) {
     const std::optional<acm::Mode> cached =
         snapshot.resolution.Lookup(subject, object, right, strategy_index);
     if constexpr (obs::kEnabled) {
       (cached.has_value() ? GetSnapshotMetrics().resolution_hits
                           : GetSnapshotMetrics().resolution_misses)
           .Inc();
-    }
-    if (cached.has_value()) {
-      if constexpr (obs::kEnabled) {
-        GetSnapshotMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetSnapshotMetrics().latency.Observe(t_end - t_start);
-          RecordSnapshotTrace(subject, object, right, canonical,
-                              /*resolution_hit=*/true, /*subgraph_hit=*/false,
-                              t_start, t_start, t_start, t_end, nullptr,
-                              *cached, phase_scope.Snapshot());
-        }
+      if (cached.has_value() && span.sampled()) [[unlikely]] {
+        span.Record(subject, object, right, canonical, /*fast_path=*/true,
+                    0, 0, /*trace=*/nullptr, *cached);
       }
-      return *cached;
     }
+    if (cached.has_value()) return *cached;
   }
 
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = snapshot.propagation_mode;
-  HotPath& hot = HotPath::ThreadLocal();
-
-  std::span<const RightsEntry> sink_bag;
-  bool indexed = false;
-  bool subgraph_hit = false;
-  uint64_t t_extract = 0;
-  uint64_t t_propagate = 0;
-  // The local extraction (sub-graph table miss lost to a racer, or
-  // table full) lives until the propagation below is done with it.
-  std::unique_ptr<const graph::AncestorSubgraph> local;
-  // Indexed compose path (DESIGN.md §12): the snapshot's index was
-  // built for exactly this (dag, eacm) generation, so the usability
-  // check only rejects on the non-expressible cases (stats requested,
-  // kSecondWins, budget-tripped build). The index is immutable and
-  // shared — still lock-free.
-  ResolveAccessOptions reach_gate;
-  reach_gate.propagation_mode = snapshot.propagation_mode;
-  reach_gate.use_reachability_index = options.use_reachability_index;
-  if (stats == nullptr &&
-      ReachIndexUsable(snapshot.reach_index.get(), snapshot.dag,
-                       snapshot.eacm, reach_gate)) {
-    sink_bag = ComposeIndexedSinkBag(*snapshot.reach_index, subject, object,
-                                     right, snapshot.propagation_mode);
-    t_extract = sampled ? obs::NowNs() : 0;
-    t_propagate = t_extract;
-    indexed = true;
-    if constexpr (obs::kEnabled) GetSnapshotMetrics().indexed.Inc();
-  } else if (options.use_subgraph_table) {
-    hot.propagator.SetLabels(snapshot.eacm.Column(object, right),
-                             snapshot.dag.node_count());
-    const graph::AncestorSubgraph* sub = snapshot.subgraphs.Find(subject);
-    subgraph_hit = sub != nullptr;
-    if (sub == nullptr) {
-      local = std::make_unique<const graph::AncestorSubgraph>(
-          snapshot.dag, subject, hot.scratch);
-      sub = snapshot.subgraphs.Install(subject, local);
-    }
-    if constexpr (obs::kEnabled) {
-      (subgraph_hit ? GetSnapshotMetrics().subgraph_hits
-                    : GetSnapshotMetrics().subgraph_misses)
-          .Inc();
-    }
-    t_extract = sampled ? obs::NowNs() : 0;
-    sink_bag = hot.propagator.PropagateSink(*sub, prop_options, stats);
-  } else {
-    hot.propagator.SetLabels(snapshot.eacm.Column(object, right),
-                             snapshot.dag.node_count());
-    const graph::ScratchSubgraphView view =
-        hot.scratch.Extract(snapshot.dag, subject);
-    t_extract = sampled ? obs::NowNs() : 0;
-    sink_bag = hot.propagator.PropagateSink(view, prop_options, stats);
-  }
-  t_propagate = sampled ? obs::NowNs() : 0;
-
-  // Shadow verification (DESIGN.md §9) re-derives this miss with the
-  // classic engines and compares the Fig. 4 trace bit for bit, so a
-  // shadowed query also fills the stack-local trace.
-  const bool shadowed = obs::ShadowVerifier::ShouldShadow();
-  ResolveTrace sampled_trace;
-  ResolveTrace* trace_out =
-      trace != nullptr ? trace
-                       : (sampled || shadowed ? &sampled_trace : nullptr);
-  const acm::Mode mode = ResolveEntries(sink_bag, canonical, trace_out);
-
-  if (options.use_resolution_table && !want_derivation) {
+  // The snapshot's index was built for exactly this (dag, eacm)
+  // generation, so the usability check only rejects the cases the
+  // index cannot express (stats requested, kSecondWins, a budget-
+  // tripped build). The index is immutable and shared — still
+  // lock-free.
+  ResolveAccessOptions gate;
+  gate.propagation_mode = snapshot.propagation_mode;
+  const graph::ReachabilityIndex* index = snapshot.reach_index.get();
+  const bool indexed =
+      stats == nullptr &&
+      ReachIndexUsable(index, snapshot.dag, snapshot.eacm, gate);
+  const acm::Mode mode = ResolveOnHotPath(
+      snapshot.dag, snapshot.eacm, indexed ? index : nullptr, subject, object,
+      right, canonical, snapshot.propagation_mode, span, trace, stats);
+  if (use_table) {
     snapshot.resolution.TryStore(subject, object, right, strategy_index, mode);
-  }
-  if constexpr (obs::kEnabled) {
-    GetSnapshotMetrics().queries.Inc();
-    if (sampled) [[unlikely]] {
-      const uint64_t t_end = obs::NowNs();
-      GetSnapshotMetrics().latency.Observe(t_end - t_start);
-      RecordSnapshotTrace(subject, object, right, canonical,
-                          /*resolution_hit=*/false, subgraph_hit, t_start,
-                          t_extract, t_propagate, t_end, trace_out, mode,
-                          phase_scope.Snapshot());
-    }
-    if (shadowed) [[unlikely]] {
-      ShadowVerifyDecision(snapshot.dag, snapshot.eacm, subject, object,
-                           right, canonical, prop_options, mode, *trace_out,
-                           indexed ? sink_bag.size() : SIZE_MAX);
-    }
   }
   return mode;
 }
@@ -498,28 +300,9 @@ std::unique_ptr<const HierarchySnapshot> BuildSnapshot(
     std::shared_ptr<const graph::ReachabilityIndex> reach_index,
     SnapshotBuildStats* stats) {
   const uint64_t t0 = obs::kEnabled ? obs::NowNs() : 0;
-  // The sub-graph table is sized by use, like the resolution table:
-  // start small and double on publish once the previous epoch's table
-  // was more than half full. Reads touch it only when the index is
-  // unusable, so a node-count-sized table would be allocated and freed
-  // on every publish for nothing. Node count still bounds its useful
-  // size (it is subject-keyed), and the cap keeps a worst-case
-  // snapshot's slot array at 16 MiB.
-  constexpr size_t kMinSubgraphCapacity = 256;
-  const size_t subgraph_limit = std::min<size_t>(
-      RoundUpPow2(std::max(dag.node_count(), kMinSubgraphCapacity)),
-      size_t{1} << 20);
-  size_t subgraph_capacity = kMinSubgraphCapacity;
-  if (previous != nullptr) {
-    subgraph_capacity = previous->subgraphs.capacity();
-    if (previous->subgraphs.size() * 2 > subgraph_capacity) {
-      subgraph_capacity *= 2;
-    }
-  }
-  subgraph_capacity = std::min(subgraph_capacity, subgraph_limit);
   auto snapshot = std::make_unique<HierarchySnapshot>(
       epoch, dag, eacm, default_strategy, propagation_mode,
-      resolution_capacity, subgraph_capacity, std::move(reach_index));
+      resolution_capacity, std::move(reach_index));
 
   SnapshotBuildStats build_stats;
   if (previous != nullptr) {
@@ -541,36 +324,12 @@ std::unique_ptr<const HierarchySnapshot> BuildSnapshot(
         ++build_stats.resolution_dropped;
       }
     });
-    // Sub-graphs are re-extracted rather than copied: an
-    // AncestorSubgraph holds a back pointer into the graph it was cut
-    // from, and this snapshot owns its own graph copy. The extraction
-    // runs on the writer's warm scratch arena, off the readers' path.
-    graph::SubgraphScratch& scratch = HotPath::ThreadLocal().scratch;
-    previous->subgraphs.ForEachSubject([&](graph::NodeId s) {
-      if (s >= dag.node_count() ||
-          dag.node_generation(s) > previous->dag_generation) {
-        ++build_stats.subgraphs_dropped;
-        return;
-      }
-      std::unique_ptr<const graph::AncestorSubgraph> sub =
-          std::make_unique<const graph::AncestorSubgraph>(snapshot->dag, s,
-                                                          scratch);
-      snapshot->subgraphs.Install(s, sub);
-      if (sub == nullptr) {
-        ++build_stats.subgraphs_carried;
-      } else {
-        ++build_stats.subgraphs_dropped;  // Table full: benign skip.
-      }
-    });
   }
   if constexpr (obs::kEnabled) {
     SnapshotMetrics& m = GetSnapshotMetrics();
     m.build_ns.Observe(obs::NowNs() - t0);
     if (build_stats.resolution_carried > 0) {
       m.carryover_resolution.Inc(build_stats.resolution_carried);
-    }
-    if (build_stats.subgraphs_carried > 0) {
-      m.carryover_subgraphs.Inc(build_stats.subgraphs_carried);
     }
   }
   if (stats != nullptr) *stats = build_stats;

@@ -12,7 +12,6 @@
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
-#include "graph/ancestor_subgraph.h"
 #include "graph/dag.h"
 #include "graph/reachability.h"
 #include "util/status.h"
@@ -119,91 +118,21 @@ class EpochResolutionTable {
   std::atomic<size_t> size_{0};
 };
 
-/// \brief Lock-free map subject → extracted `AncestorSubgraph`, private
-/// to one `HierarchySnapshot`.
-///
-/// Open-addressed over subject ids; the value is an atomic pointer to
-/// a heap-owned extraction. Concurrent extractors of one subject race
-/// on installation: the loser keeps using its own (caller-owned)
-/// extraction for the current query and discards it afterwards, so no
-/// reader ever blocks on another reader's extraction. The table owns
-/// every installed sub-graph and frees them with the snapshot.
-class EpochSubgraphTable {
- public:
-  explicit EpochSubgraphTable(size_t capacity);
-  ~EpochSubgraphTable();
-
-  EpochSubgraphTable(const EpochSubgraphTable&) = delete;
-  EpochSubgraphTable& operator=(const EpochSubgraphTable&) = delete;
-
-  /// The cached sub-graph of `subject`, or nullptr. Wait-free.
-  const graph::AncestorSubgraph* Find(graph::NodeId subject) const;
-
-  /// \brief Offers a freshly extracted sub-graph and returns the
-  /// resident one to use for this query.
-  ///
-  /// When the install wins, ownership of `sub` moves into the table
-  /// (`sub` becomes null) and the installed pointer is returned. When
-  /// a racer's extraction is already resident, that one is returned
-  /// and `sub` keeps its ownership (the caller's copy is simply used
-  /// nowhere). When the table cannot take the entry — full, probe
-  /// window exhausted, or the racer's pointer store is still in flight
-  /// — `sub.get()` is returned with ownership left in `sub`: correct
-  /// either way, the caller just resolves from its own extraction.
-  const graph::AncestorSubgraph* Install(
-      graph::NodeId subject,
-      std::unique_ptr<const graph::AncestorSubgraph>& sub) const;
-
-  /// Enumerates every resident subject (writer-side carry-over).
-  template <typename Fn>
-  void ForEachSubject(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      const uint64_t key = slot.key.load(std::memory_order_acquire);
-      if (key == 0) continue;
-      if (slot.sub.load(std::memory_order_acquire) == nullptr) continue;
-      fn(static_cast<graph::NodeId>(key - 1));
-    }
-  }
-
-  size_t capacity() const { return slots_.size(); }
-  size_t size() const { return size_.load(std::memory_order_relaxed); }
-
- private:
-  // Keys are biased by +1 so the zero-initialized slot means "empty"
-  // without colliding with subject id 0.
-  struct alignas(16) Slot {
-    std::atomic<uint64_t> key{0};
-    std::atomic<const graph::AncestorSubgraph*> sub{nullptr};
-  };
-
-  static constexpr size_t kMaxProbes = 32;
-
-  size_t SeedIndex(graph::NodeId subject) const {
-    return (static_cast<uint64_t>(subject) * 0x9E3779B97F4A7C15ull) & mask_;
-  }
-
-  mutable std::vector<Slot> slots_;
-  size_t mask_ = 0;
-  size_t max_load_ = 0;
-  mutable std::atomic<size_t> size_{0};
-};
-
 /// \brief One immutable, self-contained generation of the whole policy
 /// state: hierarchy, explicit matrix, session strategy, propagation
-/// mode, and the per-epoch decision/sub-graph tables (DESIGN.md §11).
+/// mode, and the per-epoch decision table (DESIGN.md §11).
 ///
 /// Readers holding a pin may touch every member without
 /// synchronization: the graph and matrix are copies that no writer
 /// ever mutates (the graph's name table and the index's label pools
 /// are shared with the writer, which never writes a shared one — it
 /// clones the name table before appending, and each index generation
-/// writes only a pool of its own), and the tables are lock-free and
-/// only fill.
+/// writes only a pool of its own), and the decision table is lock-free
+/// and only fills.
 struct HierarchySnapshot {
   HierarchySnapshot(
       uint64_t epoch_in, graph::Dag dag_in, acm::ExplicitAcm eacm_in,
       Strategy strategy, PropagationMode mode, size_t resolution_capacity,
-      size_t subgraph_capacity,
       std::shared_ptr<const graph::ReachabilityIndex> reach_index_in = nullptr)
       : epoch(epoch_in),
         dag(std::move(dag_in)),
@@ -212,8 +141,7 @@ struct HierarchySnapshot {
         propagation_mode(mode),
         dag_generation(dag.generation()),
         reach_index(std::move(reach_index_in)),
-        resolution(resolution_capacity),
-        subgraphs(subgraph_capacity) {}
+        resolution(resolution_capacity) {}
 
   const uint64_t epoch;
   const graph::Dag dag;
@@ -231,10 +159,9 @@ struct HierarchySnapshot {
   /// with the index disabled or the build tripped a budget.
   const std::shared_ptr<const graph::ReachabilityIndex> reach_index;
 
-  // Readers insert through const pins; both tables are internally
+  // Readers insert through const pins; the table is internally
   // thread-safe and append-only.
   mutable EpochResolutionTable resolution;
-  mutable EpochSubgraphTable subgraphs;
 };
 
 /// \brief Epoch-based publication and reclamation of
@@ -352,17 +279,6 @@ struct SnapshotReadOptions {
   /// decision has no derivation to report, and the differential suite
   /// compares derivations.
   bool use_resolution_table = true;
-
-  /// Consult/fill the snapshot's sub-graph table. Off forces a scratch
-  /// extraction per query (the PR 2 hot path's behavior).
-  bool use_subgraph_table = true;
-
-  /// Compose the sink bag from the snapshot's reachability index
-  /// (when it carries one) instead of extracting the ancestor
-  /// sub-graph (DESIGN.md §12). Automatically bypassed when `stats`
-  /// are requested or the mode is `kSecondWins`; decisions and traces
-  /// stay bit-identical either way.
-  bool use_reachability_index = true;
 };
 
 /// \brief End-to-end conflict resolution against one pinned snapshot:
@@ -371,10 +287,10 @@ struct SnapshotReadOptions {
 /// Bit-identical decisions, traces, and stats to `ResolveAccess` on
 /// the same hierarchy/matrix state (the epoch differential suite
 /// asserts this for all 48 strategies). Steady state acquires no locks
-/// and performs no heap allocations: table hits are two atomic loads,
-/// misses run the PR 2 hot path and publish the result with one CAS.
-/// Misses selected by `obs::ShadowVerifier::ShouldShadow()` are
-/// re-resolved by the classic oracle (`ShadowVerifyDecision`).
+/// and performs no heap allocations: a table hit is two atomic loads;
+/// a miss runs `ResolveOnHotPath` — the pipeline `ResolveAccess` runs —
+/// over the snapshot's graph, matrix and index, and publishes the
+/// decision with one CAS. Telemetry reports under `ucr_snapshot_*`.
 StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
                                           graph::NodeId subject,
                                           acm::ObjectId object,
@@ -389,21 +305,15 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
 struct SnapshotBuildStats {
   size_t resolution_carried = 0;   ///< Decisions still derivable.
   size_t resolution_dropped = 0;   ///< Decisions invalidated by the delta.
-  size_t subgraphs_carried = 0;    ///< Sub-graphs re-extracted while warm.
-  size_t subgraphs_dropped = 0;    ///< Sub-graphs whose ancestor set changed.
 };
 
 /// \brief Builds the next `HierarchySnapshot` from the writer's master
-/// state, warming its tables from `previous` (may be null).
+/// state, warming its decision table from `previous` (may be null).
 ///
 /// A resolved decision survives iff (a) the subject's ancestor set is
 /// unchanged — `dag.node_generation(subject) <= previous->dag_generation`,
 /// exactly the stamp the in-place mutators maintain — and (b) its
 /// (object, right) column epoch is unchanged between the two matrices.
-/// A cached sub-graph survives under (a) alone and is re-extracted
-/// against the new snapshot's own graph (sub-graphs hold a back
-/// pointer into the graph they were cut from, so they never migrate
-/// across snapshots).
 std::unique_ptr<const HierarchySnapshot> BuildSnapshot(
     const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     const Strategy& default_strategy, PropagationMode propagation_mode,

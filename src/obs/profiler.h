@@ -22,7 +22,7 @@ namespace ucr::obs {
 /// the time-series sampler, so /statz can show a live "% time per
 /// phase" panel and a latency regression names the phase that moved.
 enum class Phase : uint8_t {
-  kCacheProbe = 0,  ///< Resolution/sub-graph/epoch-table lookups + stores.
+  kCacheProbe = 0,  ///< Snapshot decision-table lookups + stores.
   kExtract,         ///< Step 1: ancestor sub-graph extraction.
   kPropagate,       ///< Steps 2-3: label propagation to the sink.
   kCompose,         ///< Reachability-index sink-bag composition (§12).

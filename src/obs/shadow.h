@@ -17,7 +17,7 @@ namespace ucr::obs {
 ///
 /// This class owns only the sampling decision, the counters, and the
 /// mismatch dump ring; the actual oracle re-resolution lives in
-/// `core::ShadowVerifyDecision` (the obs layer cannot depend on core).
+/// core/resolve.cc (the obs layer cannot depend on core).
 /// Sampling mirrors `QueryTracer::ShouldSample`: a per-thread
 /// countdown against a constant-initialized interval, so the
 /// non-shadowed hot path pays a relaxed load, a TLS increment, and a

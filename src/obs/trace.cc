@@ -120,8 +120,6 @@ std::string ToJson(const QueryTraceRecord& r) {
       << ",\"fast_path\":" << (r.fast_path ? "true" : "false")
       << ",\"resolution_cache_hit\":"
       << (r.resolution_cache_hit ? "true" : "false")
-      << ",\"subgraph_cache_hit\":"
-      << (r.subgraph_cache_hit ? "true" : "false")
       << ",\"extract_ns\":" << r.extract_ns
       << ",\"propagate_ns\":" << r.propagate_ns
       << ",\"resolve_ns\":" << r.resolve_ns << ",\"total_ns\":" << r.total_ns

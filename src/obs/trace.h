@@ -15,7 +15,7 @@ namespace ucr::obs {
 
 /// \brief One sampled query's execution record: the span timings of
 /// the resolution pipeline (Step 1 sub-graph extraction → Steps 2–3
-/// propagation → Step 4 resolve), the cache interactions, and the
+/// propagation → Step 4 resolve), the decision-table interaction, and the
 /// Fig. 4 outcome that decided the query (mirroring
 /// `core::ResolveTrace`, which is the paper's Table 3 row).
 ///
@@ -31,9 +31,8 @@ struct QueryTraceRecord {
   uint8_t strategy_index = 0;  ///< Canonical strategy index (< 48).
   bool fast_path = false;      ///< DESIGN.md §7 engine vs classic.
 
-  // Cache interactions (batch/serving path only; false elsewhere).
+  // Served from a snapshot's decision table (snapshot reads only).
   bool resolution_cache_hit = false;
-  bool subgraph_cache_hit = false;
 
   // Span durations in ns. A stage skipped by a cache hit reports 0.
   uint64_t extract_ns = 0;

@@ -173,6 +173,61 @@ TEST(HotPathAllocTest, WarmSnapshotPassIsAllocationFreePerQuery) {
       << "warm batch queries allocated per query";
 }
 
+// A decision-table miss runs the scratch-arena hot path (DESIGN.md §7,
+// §11): once this thread's arenas are warm from a pass over one
+// snapshot, the first pass over a fresh snapshot of the same state —
+// no reachability index, every query a miss — allocates nothing.
+TEST(HotPathAllocTest, ColdSnapshotPassIsAllocationFreePerQuery) {
+  if (UCR_ALLOC_TEST_SKIP) {
+    GTEST_SKIP() << "allocation bounds are checked without sanitizers";
+  }
+
+  Random rng(97);
+  graph::LayeredDagOptions shape;
+  shape.layers = 5;
+  shape.nodes_per_layer = 12;
+  shape.skip_edge_probability = 0.1;
+  auto dag = graph::GenerateLayeredDag(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  acm::ExplicitAcm eacm;
+  const acm::ObjectId object = eacm.InternObject("o").value();
+  const acm::RightId right = eacm.InternRight("r").value();
+  for (graph::NodeId v = 0; v < dag->node_count(); ++v) {
+    if (!rng.Bernoulli(0.2)) continue;
+    ASSERT_TRUE(eacm.Set(v, object, right,
+                         rng.Bernoulli(0.4) ? acm::Mode::kNegative
+                                            : acm::Mode::kPositive)
+                    .ok());
+  }
+  const Strategy strategy = ParseStrategy("D+LP-").value();
+  for (const PropagationMode mode :
+       {PropagationMode::kBoth, PropagationMode::kFirstWins,
+        PropagationMode::kSecondWins}) {
+    const auto build = [&] {
+      return BuildSnapshot(*dag, eacm, strategy, mode, /*epoch=*/1,
+                           /*previous=*/nullptr,
+                           /*resolution_capacity=*/1 << 10);
+    };
+    const auto warm = build();
+    const auto cold = build();
+    const auto read_all = [&](const HierarchySnapshot& snapshot) {
+      for (graph::NodeId v = 0; v < dag->node_count(); ++v) {
+        ASSERT_TRUE(
+            SnapshotResolveAccess(snapshot, v, object, right, strategy).ok());
+      }
+    };
+    read_all(*warm);  // Warm-up: this thread's arenas and bag pools.
+
+    ASSERT_EQ(cold->resolution.size(), 0u);
+    const uint64_t before = AllocationCount();
+    read_all(*cold);
+    EXPECT_EQ(AllocationCount() - before, 0u)
+        << "a snapshot miss allocated on warm arenas";
+    EXPECT_EQ(cold->resolution.size(), dag->node_count())
+        << "every query of the cold pass should have been a stored miss";
+  }
+}
+
 // The observability acceptance bound (DESIGN.md §8): metrics recording
 // and even 1-in-1 query tracing stay inside the zero-allocation
 // budget. Counters/histograms are relaxed atomics on preallocated

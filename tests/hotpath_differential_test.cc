@@ -21,6 +21,7 @@
 #include "core/system.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "graph/reachability.h"
 #include "util/random.h"
 
 namespace ucr::core {
@@ -241,18 +242,23 @@ TEST(HotPathDifferentialTest, SnapshotTablesMatchClassic) {
     ResolveAccessOptions classic;
     classic.propagation_mode = mode;
     classic.use_fast_path = false;
-    // The snapshot's miss path has two sub-paths: propagation over a
-    // table-resident `AncestorSubgraph` and over a scratch-arena view.
-    // Exercise both, each with and without the decision table.
-    for (const bool subgraph_table : {true, false}) {
+    // The snapshot's miss path has two sub-paths: composition from the
+    // snapshot's reachability index and scratch-arena extraction plus
+    // flat propagation (no index, or kSecondWins, which the index
+    // cannot express). Exercise both, each with and without the
+    // decision table.
+    for (const bool with_index : {true, false}) {
       for (const bool resolution_table : {true, false}) {
         SnapshotReadOptions read;
-        read.use_subgraph_table = subgraph_table;
         read.use_resolution_table = resolution_table;
-        const auto snapshot =
-            BuildSnapshot(*dag, eacm, Strategy{}, mode, /*epoch=*/1,
-                          /*previous=*/nullptr,
-                          /*resolution_capacity=*/1 << 14);
+        const auto snapshot = BuildSnapshot(
+            *dag, eacm, Strategy{}, mode, /*epoch=*/1, /*previous=*/nullptr,
+            /*resolution_capacity=*/1 << 14,
+            with_index ? graph::ReachabilityIndex::Build(*dag, eacm.epoch(),
+                                                         eacm.ReachRows())
+                       : nullptr);
+        ASSERT_EQ(snapshot->reach_index != nullptr, with_index);
+        ASSERT_TRUE(!with_index || snapshot->reach_index->ready());
         for (const Strategy& strategy : AllStrategies()) {
           for (const BatchResolver::Query& q : queries) {
             const auto fast = SnapshotResolveAccess(
@@ -263,7 +269,7 @@ TEST(HotPathDifferentialTest, SnapshotTablesMatchClassic) {
             ASSERT_TRUE(want.ok());
             ASSERT_EQ(*fast, *want)
                 << strategy.ToMnemonic() << " mode " << ModeName(mode)
-                << (subgraph_table ? " table-subgraphs" : " scratch-views")
+                << (with_index ? " indexed" : " scratch-views")
                 << (resolution_table ? " memo" : " no-memo");
           }
         }

@@ -130,40 +130,60 @@ TEST(ObsTraceTest, SampledTraceReproducesFig4OnPaperExample) {
 // derivation, plus the decision-table interaction: a repeat query is a
 // table hit with no Fig. 4 payload of its own.
 TEST(ObsTraceTest, SnapshotQueriesRecordTableInteractions) {
-  core::PaperExample ex = core::MakePaperExample();
-  core::AccessControlSystem system(std::move(ex.dag));
-  ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
-  ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
-  ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
-  system.SetStrategy(core::ParseStrategy("D+LP-").value());
-  system.EnableSnapshotReads();
+  // The miss runs over the snapshot's reachability index, then over an
+  // index-less snapshot (scratch extraction): either way each query
+  // takes one sampler tick and leaves one trace record and one
+  // `ucr_snapshot_query_latency_ns` observation, and none under the
+  // direct-call `ucr_resolve_latency_ns`.
+  Histogram& snapshot_latency =
+      Registry::Global().GetHistogram("ucr_snapshot_query_latency_ns", "");
+  Histogram& resolve_latency =
+      Registry::Global().GetHistogram("ucr_resolve_latency_ns", "");
+  for (const bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "indexed" : "index-less");
+    core::PaperExample ex = core::MakePaperExample();
+    core::SystemOptions options;
+    options.use_reachability_index = use_index;
+    core::AccessControlSystem system(std::move(ex.dag), options);
+    ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
+    ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
+    ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
+    system.SetStrategy(core::ParseStrategy("D+LP-").value());
+    system.EnableSnapshotReads();
+    ASSERT_EQ(system.snapshots()->Pin()->reach_index != nullptr, use_index);
 
-  QueryTracer& tracer = QueryTracer::Global();
-  ResetSamplingState(tracer);
-  tracer.SetSampleInterval(1);
-  tracer.Clear();
+    QueryTracer& tracer = QueryTracer::Global();
+    ResetSamplingState(tracer);
+    tracer.SetSampleInterval(1);
+    tracer.Clear();
+    const uint64_t snapshot_before = snapshot_latency.Snap().count;
+    const uint64_t resolve_before = resolve_latency.Snap().count;
 
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    const auto mode = system.CheckAccessSnapshotByName("User", "obj", "read");
-    ASSERT_TRUE(mode.ok());
-    // Paper Table 2, strategy D+LP-: the preference rule settles the
-    // {+,-} conflict in favour of '-'.
-    EXPECT_EQ(*mode, acm::Mode::kNegative);
+    for (uint64_t repeat = 0; repeat < 2; ++repeat) {
+      const auto mode = system.CheckAccessSnapshotByName("User", "obj", "read");
+      ASSERT_TRUE(mode.ok());
+      // Paper Table 2, strategy D+LP-: the preference rule settles the
+      // {+,-} conflict in favour of '-'.
+      EXPECT_EQ(*mode, acm::Mode::kNegative);
+      EXPECT_EQ(snapshot_latency.Snap().count, snapshot_before + repeat + 1);
+    }
+    EXPECT_EQ(resolve_latency.Snap().count, resolve_before);
+
+    const std::vector<QueryTraceRecord> snap = tracer.Snapshot();
+    ASSERT_EQ(snap.size(), 2u);
+    EXPECT_FALSE(snap[0].resolution_cache_hit);
+    EXPECT_TRUE(snap[0].fast_path);
+    EXPECT_TRUE(snap[0].auth_computed);
+    EXPECT_TRUE(snap[0].auth_has_positive);
+    EXPECT_TRUE(snap[0].auth_has_negative);
+    EXPECT_EQ(snap[0].returned_line, 9);
+    EXPECT_TRUE(snap[1].resolution_cache_hit);
+    EXPECT_FALSE(snap[1].auth_computed);  // Hits re-serve, not re-derive.
+    EXPECT_EQ(snap[0].granted, snap[1].granted);
+
+    tracer.SetSampleInterval(QueryTracer::kDefaultInterval);
+    tracer.Clear();
   }
-
-  const std::vector<QueryTraceRecord> snap = tracer.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_FALSE(snap[0].resolution_cache_hit);
-  EXPECT_TRUE(snap[0].auth_computed);
-  EXPECT_TRUE(snap[0].auth_has_positive);
-  EXPECT_TRUE(snap[0].auth_has_negative);
-  EXPECT_EQ(snap[0].returned_line, 9);
-  EXPECT_TRUE(snap[1].resolution_cache_hit);
-  EXPECT_FALSE(snap[1].auth_computed);  // Hits re-serve, not re-derive.
-  EXPECT_EQ(snap[0].granted, snap[1].granted);
-
-  tracer.SetSampleInterval(QueryTracer::kDefaultInterval);
-  tracer.Clear();
 }
 
 TEST(ObsTraceTest, RenderersEmitTheDerivation) {

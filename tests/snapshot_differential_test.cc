@@ -168,83 +168,105 @@ TEST(SnapshotDifferentialTest, RandomLayeredDagsAgree) {
 
 /// The facade path: every mutation publishes a new epoch warmed by
 /// carry-over from the previous one; after each batch the snapshot
-/// decisions must equal the classic facade's for every triple under
-/// every canonical strategy.
+/// decisions must equal the classic oracle's and the facade's for every
+/// triple under every canonical strategy. The second input is a system
+/// whose reachability build trips its label budget: every publication
+/// then carries a not-ready index, and every snapshot miss takes the
+/// scratch-extraction fallback.
 TEST(SnapshotDifferentialTest, FacadeAgreesAcrossMutations) {
-  PaperExample ex = MakePaperExample();
-  AccessControlSystem system(std::move(ex.dag));
-  ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
-  ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
-  ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
-  system.EnableSnapshotReads();
-  ASSERT_TRUE(system.snapshot_reads_enabled());
-  ASSERT_NE(system.snapshots(), nullptr);
+  for (const bool budget_tripped : {false, true}) {
+    SCOPED_TRACE(budget_tripped ? "budget-tripped index" : "indexed");
+    SystemOptions options;
+    if (budget_tripped) options.reachability_options.max_mean_label_entries = 0;
+    PaperExample ex = MakePaperExample();
+    AccessControlSystem system(std::move(ex.dag), options);
+    ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
+    ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
+    ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
+    system.EnableSnapshotReads();
+    ASSERT_TRUE(system.snapshot_reads_enabled());
+    ASSERT_NE(system.snapshots(), nullptr);
 
-  const auto expect_all_agree = [&] {
-    for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-      for (size_t o = 0; o < system.eacm().object_count(); ++o) {
-        for (size_t r = 0; r < system.eacm().right_count(); ++r) {
-          const auto object = static_cast<acm::ObjectId>(o);
-          const auto right = static_cast<acm::RightId>(r);
-          for (const Strategy& strategy : AllStrategies()) {
-            SCOPED_TRACE(std::string(strategy.ToMnemonic()) + " subject " +
-                         system.dag().name(v));
-            const auto snap =
-                system.CheckAccessSnapshot(v, object, right, strategy);
-            const auto classic =
-                system.CheckAccess(v, object, right, strategy);
-            ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-            ASSERT_TRUE(classic.ok());
-            ASSERT_EQ(*snap, *classic);
+    ResolveAccessOptions classic_options;
+    classic_options.use_fast_path = false;
+    const auto expect_all_agree = [&] {
+      ASSERT_NE(system.reachability_index(), nullptr);
+      ASSERT_EQ(system.reachability_index()->ready(), !budget_tripped);
+      ASSERT_EQ(system.snapshots()->Pin()->reach_index->ready(),
+                !budget_tripped);
+      for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+        for (size_t o = 0; o < system.eacm().object_count(); ++o) {
+          for (size_t r = 0; r < system.eacm().right_count(); ++r) {
+            const auto object = static_cast<acm::ObjectId>(o);
+            const auto right = static_cast<acm::RightId>(r);
+            for (const Strategy& strategy : AllStrategies()) {
+              SCOPED_TRACE(std::string(strategy.ToMnemonic()) + " subject " +
+                           system.dag().name(v));
+              const auto snap =
+                  system.CheckAccessSnapshot(v, object, right, strategy);
+              const auto facade =
+                  system.CheckAccess(v, object, right, strategy);
+              const auto classic =
+                  ResolveAccess(system.dag(), system.eacm(), v, object, right,
+                                strategy, classic_options);
+              ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+              ASSERT_TRUE(facade.ok());
+              ASSERT_TRUE(classic.ok());
+              ASSERT_EQ(*snap, *classic);
+              ASSERT_EQ(*snap, *facade);
+            }
           }
         }
       }
+    };
+
+    expect_all_agree();
+    const uint64_t epoch_before = system.snapshots()->current_epoch();
+
+    // Rights edit: lapses one column, carries the rest. (Revoke, not
+    // deny: SetMode rejects a deny over the existing grant as a
+    // contradicting explicit authorization.)
+    ASSERT_TRUE(system.Revoke("S2", "obj", "read").ok());
+    expect_all_agree();
+
+    // Hierarchy edit batch: one publication for the whole batch.
+    std::vector<AccessControlSystem::MutationOp> ops;
+    ops.push_back(AccessControlSystem::MutationOp::AddMember("S1", "S6"));
+    ops.push_back(
+        AccessControlSystem::MutationOp::Grant("S6", "obj", "write"));
+    ops.push_back(
+        AccessControlSystem::MutationOp::Deny("S2", "obj", "read"));
+    AccessControlSystem::MutationBatchStats stats;
+    ASSERT_TRUE(system.ApplyMutations(ops, &stats).ok());
+    EXPECT_EQ(stats.applied, 3u);
+    expect_all_agree();
+
+    // Strategy change publishes too (the snapshot carries the session
+    // strategy, so the no-strategy overload must follow it).
+    system.SetStrategy(ParseStrategy("D+LP-").value());
+    for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+      const auto snap = system.CheckAccessSnapshot(
+          v, acm::ObjectId{0}, acm::RightId{0});
+      const auto classic = system.CheckAccess(v, acm::ObjectId{0},
+                                              acm::RightId{0},
+                                              system.strategy());
+      ASSERT_TRUE(snap.ok());
+      ASSERT_TRUE(classic.ok());
+      ASSERT_EQ(*snap, *classic);
     }
-  };
+    EXPECT_GT(system.snapshots()->current_epoch(), epoch_before);
 
-  expect_all_agree();
-  const uint64_t epoch_before = system.snapshots()->current_epoch();
-
-  // Rights edit: lapses one column, carries the rest. (Revoke, not
-  // deny: SetMode rejects a deny over the existing grant as a
-  // contradicting explicit authorization.)
-  ASSERT_TRUE(system.Revoke("S2", "obj", "read").ok());
-  expect_all_agree();
-
-  // Hierarchy edit batch: one publication for the whole batch.
-  std::vector<AccessControlSystem::MutationOp> ops;
-  ops.push_back(AccessControlSystem::MutationOp::AddMember("S1", "S6"));
-  ops.push_back(
-      AccessControlSystem::MutationOp::Grant("S6", "obj", "write"));
-  ops.push_back(
-      AccessControlSystem::MutationOp::Deny("S2", "obj", "read"));
-  AccessControlSystem::MutationBatchStats stats;
-  ASSERT_TRUE(system.ApplyMutations(ops, &stats).ok());
-  EXPECT_EQ(stats.applied, 3u);
-  expect_all_agree();
-
-  // Strategy change publishes too (the snapshot carries the session
-  // strategy, so the no-strategy overload must follow it).
-  system.SetStrategy(ParseStrategy("D+LP-").value());
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    const auto snap = system.CheckAccessSnapshot(
-        v, acm::ObjectId{0}, acm::RightId{0});
-    const auto classic = system.CheckAccess(v, acm::ObjectId{0},
-                                            acm::RightId{0},
-                                            system.strategy());
-    ASSERT_TRUE(snap.ok());
-    ASSERT_TRUE(classic.ok());
-    ASSERT_EQ(*snap, *classic);
+    // Name-based entry point resolves against the pinned snapshot.
+    const auto by_name =
+        system.CheckAccessSnapshotByName("S6", "obj", "write");
+    const auto by_name_classic =
+        system.CheckAccessByName("S6", "obj", "write");
+    ASSERT_TRUE(by_name.ok());
+    ASSERT_TRUE(by_name_classic.ok());
+    EXPECT_EQ(*by_name, *by_name_classic);
+    EXPECT_FALSE(
+        system.CheckAccessSnapshotByName("nobody", "obj", "read").ok());
   }
-  EXPECT_GT(system.snapshots()->current_epoch(), epoch_before);
-
-  // Name-based entry point resolves against the pinned snapshot.
-  const auto by_name = system.CheckAccessSnapshotByName("S6", "obj", "write");
-  const auto by_name_classic = system.CheckAccessByName("S6", "obj", "write");
-  ASSERT_TRUE(by_name.ok());
-  ASSERT_TRUE(by_name_classic.ok());
-  EXPECT_EQ(*by_name, *by_name_classic);
-  EXPECT_FALSE(system.CheckAccessSnapshotByName("nobody", "obj", "read").ok());
 }
 
 /// Every decision-table entry of `snapshot`, keyed by packed triple and

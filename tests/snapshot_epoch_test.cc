@@ -1,5 +1,5 @@
 // Epoch machinery tests (DESIGN.md §11): the lock-free per-snapshot
-// tables, the slot-ring publication/reclamation protocol, and the
+// decision table, the slot-ring publication/reclamation protocol, and the
 // torn-publish scenario — a reader pinned on epoch N while the writer
 // publishes N+1 and tries to retire N. The whole file runs under the
 // tsan preset (label `epoch`), so the concurrent cases double as data-
@@ -18,7 +18,6 @@
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
-#include "graph/ancestor_subgraph.h"
 #include "graph/dag.h"
 
 namespace ucr::core {
@@ -104,59 +103,6 @@ TEST(EpochResolutionTableTest, ConcurrentStoresStayConsistent) {
     const auto seen = table.Lookup(s, 0, 0, 0);
     ASSERT_TRUE(seen.has_value());
     EXPECT_EQ(*seen, (s % 3 == 0) ? Mode::kPositive : Mode::kNegative);
-  }
-}
-
-TEST(EpochSubgraphTableTest, InstallOwnershipProtocol) {
-  PaperExample ex = MakePaperExample();
-  const graph::Dag dag = std::move(ex.dag);
-  EpochSubgraphTable table(64);
-  EXPECT_EQ(table.Find(0), nullptr);
-
-  auto mine = std::unique_ptr<const graph::AncestorSubgraph>(
-      new graph::AncestorSubgraph(dag, 0));
-  const graph::AncestorSubgraph* raw = mine.get();
-  const graph::AncestorSubgraph* resident = table.Install(0, mine);
-  EXPECT_EQ(resident, raw);
-  EXPECT_EQ(mine, nullptr);  // Ownership moved into the table.
-  EXPECT_EQ(table.Find(0), raw);
-
-  // A second extraction of the same subject loses the race: the
-  // resident one is returned and the caller keeps ownership.
-  auto second = std::unique_ptr<const graph::AncestorSubgraph>(
-      new graph::AncestorSubgraph(dag, 0));
-  EXPECT_EQ(table.Install(0, second), raw);
-  EXPECT_NE(second, nullptr);
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(EpochSubgraphTableTest, ConcurrentInstallOneWinner) {
-  PaperExample ex = MakePaperExample();
-  const graph::Dag dag = std::move(ex.dag);
-  for (int round = 0; round < 8; ++round) {
-    EpochSubgraphTable table(64);
-    constexpr int kThreads = 4;
-    std::atomic<const graph::AncestorSubgraph*> winner{nullptr};
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&] {
-        auto sub = std::unique_ptr<const graph::AncestorSubgraph>(
-            new graph::AncestorSubgraph(dag, 1));
-        const graph::AncestorSubgraph* resident = table.Install(1, sub);
-        ASSERT_NE(resident, nullptr);
-        const graph::AncestorSubgraph* expected = nullptr;
-        winner.compare_exchange_strong(expected, resident);
-        // Everyone must end up using the same resident extraction or
-        // their own still-owned copy — never a freed pointer.
-        if (sub == nullptr) {
-          EXPECT_EQ(resident, table.Find(1));
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(table.size(), 1u);
-    EXPECT_EQ(table.Find(1), winner.load());
   }
 }
 
