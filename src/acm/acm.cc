@@ -56,6 +56,15 @@ StatusOr<IdType> Intern(std::string_view name, std::vector<std::string>& names,
   return id;
 }
 
+/// First entry of a column's sorted `positions` whose subject is not
+/// below `subject`.
+template <typename Positions>
+auto SubjectLowerBound(Positions& positions, graph::NodeId subject) {
+  return std::lower_bound(
+      positions.begin(), positions.end(), subject,
+      [](const auto& p, graph::NodeId s) { return p.first < s; });
+}
+
 }  // namespace
 
 StatusOr<ObjectId> ExplicitAcm::InternObject(std::string_view name) {
@@ -82,84 +91,118 @@ StatusOr<RightId> ExplicitAcm::FindRight(std::string_view name) const {
   return it->second;
 }
 
-Status ExplicitAcm::Set(graph::NodeId subject, ObjectId object, RightId right,
-                        Mode mode) {
-  auto [it, inserted] = entries_.try_emplace(Key(subject, object, right), mode);
-  if (!inserted) {
-    if (it->second == mode) return Status::OK();  // Idempotent.
-    return Status::FailedPrecondition(
-        "contradicting explicit authorization for subject " +
-        std::to_string(subject));
+const ExplicitAcm::ColumnEntry* ExplicitAcm::ColumnData::Find(
+    graph::NodeId subject) const {
+  const auto it = SubjectLowerBound(positions, subject);
+  if (it == positions.end() || it->first != subject) return nullptr;
+  return &entries[it->second];
+}
+
+ExplicitAcm::ColumnEntry& ExplicitAcm::ColumnData::FindOrInsert(
+    graph::NodeId subject, Mode mode, bool* inserted) {
+  const auto it = SubjectLowerBound(positions, subject);
+  *inserted = it == positions.end() || it->first != subject;
+  if (!*inserted) return entries[it->second];
+  positions.insert(it, {subject, static_cast<uint32_t>(entries.size())});
+  return entries.emplace_back(ColumnEntry{subject, mode});
+}
+
+bool ExplicitAcm::ColumnData::Remove(graph::NodeId subject) {
+  const auto it = SubjectLowerBound(positions, subject);
+  if (it == positions.end() || it->first != subject) return false;
+  const uint32_t hole = it->second;
+  positions.erase(it);
+  if (hole + 1 != entries.size()) {
+    entries[hole] = entries.back();
+    SubjectLowerBound(positions, entries[hole].subject)->second = hole;
   }
-  column_index_[ColumnKey(object, right)].push_back(
-      ColumnEntry{subject, mode});
-  BumpEpoch(object, right);
+  entries.pop_back();
+  return true;
+}
+
+const ExplicitAcm::ColumnData* ExplicitAcm::FindColumn(ObjectId object,
+                                                       RightId right) const {
+  const auto it = columns_.find(ColumnKey(object, right));
+  return it == columns_.end() ? nullptr : it->second.get();
+}
+
+ExplicitAcm::ColumnData& ExplicitAcm::MutableColumn(ObjectId object,
+                                                    RightId right) {
+  std::shared_ptr<ColumnData>& column = columns_[ColumnKey(object, right)];
+  if (column == nullptr) {
+    column = std::make_shared<ColumnData>();
+  } else if (column.use_count() > 1) {
+    // Copy-on-write: a column still shared with another copy (a
+    // published snapshot's) is cloned so that copy never sees the edit.
+    column = std::make_shared<ColumnData>(*column);
+  }
+  return *column;
+}
+
+void ExplicitAcm::BumpEpoch(ColumnData& column, graph::NodeId subject,
+                            ObjectId object, RightId right) {
+  column.epoch = ++epoch_;
   CountMutation();
   if (obs::AuditLog::Enabled()) {
-    AuditEpochBump(subject, object, right, ColumnEpoch(object, right));
+    AuditEpochBump(subject, object, right, column.epoch);
   }
+}
+
+Status ExplicitAcm::Set(graph::NodeId subject, ObjectId object, RightId right,
+                        Mode mode) {
+  if (const ColumnData* column = FindColumn(object, right)) {
+    if (const ColumnEntry* e = column->Find(subject)) {
+      if (e->mode == mode) return Status::OK();  // Idempotent.
+      return Status::FailedPrecondition(
+          "contradicting explicit authorization for subject " +
+          std::to_string(subject));
+    }
+  }
+  ColumnData& column = MutableColumn(object, right);
+  bool inserted = false;
+  column.FindOrInsert(subject, mode, &inserted);
+  ++size_;
+  BumpEpoch(column, subject, object, right);
   return Status::OK();
 }
 
 void ExplicitAcm::Overwrite(graph::NodeId subject, ObjectId object,
                             RightId right, Mode mode) {
-  entries_[Key(subject, object, right)] = mode;
-  auto& column = column_index_[ColumnKey(object, right)];
-  bool updated = false;
-  for (ColumnEntry& e : column) {
-    if (e.subject == subject) {
-      e.mode = mode;
-      updated = true;
-      break;
-    }
-  }
-  if (!updated) column.push_back(ColumnEntry{subject, mode});
-  BumpEpoch(object, right);
-  CountMutation();
-  if (obs::AuditLog::Enabled()) {
-    AuditEpochBump(subject, object, right, ColumnEpoch(object, right));
-  }
+  ColumnData& column = MutableColumn(object, right);
+  bool inserted = false;
+  column.FindOrInsert(subject, mode, &inserted).mode = mode;
+  if (inserted) ++size_;
+  BumpEpoch(column, subject, object, right);
 }
 
 bool ExplicitAcm::Erase(graph::NodeId subject, ObjectId object,
                         RightId right) {
-  const bool erased = entries_.erase(Key(subject, object, right)) > 0;
-  if (erased) {
-    auto& column = column_index_[ColumnKey(object, right)];
-    for (size_t i = 0; i < column.size(); ++i) {
-      if (column[i].subject == subject) {
-        column[i] = column.back();
-        column.pop_back();
-        break;
-      }
-    }
-    BumpEpoch(object, right);
-    CountMutation();
-    if (obs::AuditLog::Enabled()) {
-      AuditEpochBump(subject, object, right, ColumnEpoch(object, right));
-    }
-  }
-  return erased;
+  const ColumnData* existing = FindColumn(object, right);
+  if (existing == nullptr || existing->Find(subject) == nullptr) return false;
+  ColumnData& column = MutableColumn(object, right);
+  column.Remove(subject);
+  --size_;
+  BumpEpoch(column, subject, object, right);
+  return true;
 }
 
 uint64_t ExplicitAcm::ColumnEpoch(ObjectId object, RightId right) const {
-  auto it = column_epochs_.find(ColumnKey(object, right));
-  return it == column_epochs_.end() ? 0 : it->second;
+  const ColumnData* column = FindColumn(object, right);
+  return column == nullptr ? 0 : column->epoch;
 }
 
 std::optional<Mode> ExplicitAcm::Get(graph::NodeId subject, ObjectId object,
                                      RightId right) const {
-  auto it = entries_.find(Key(subject, object, right));
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  const ColumnData* column = FindColumn(object, right);
+  const ColumnEntry* e = column == nullptr ? nullptr : column->Find(subject);
+  if (e == nullptr) return std::nullopt;
+  return e->mode;
 }
 
 std::vector<std::optional<Mode>> ExplicitAcm::ExtractLabels(
     size_t subject_count, ObjectId object, RightId right) const {
   std::vector<std::optional<Mode>> labels(subject_count);
-  auto it = column_index_.find(ColumnKey(object, right));
-  if (it == column_index_.end()) return labels;
-  for (const ColumnEntry& e : it->second) {
+  for (const ColumnEntry& e : Column(object, right)) {
     if (e.subject < subject_count) labels[e.subject] = e.mode;
   }
   return labels;
@@ -167,17 +210,15 @@ std::vector<std::optional<Mode>> ExplicitAcm::ExtractLabels(
 
 std::span<const ExplicitAcm::ColumnEntry> ExplicitAcm::Column(
     ObjectId object, RightId right) const {
-  auto it = column_index_.find(ColumnKey(object, right));
-  if (it == column_index_.end()) return {};
-  return it->second;
+  const ColumnData* column = FindColumn(object, right);
+  if (column == nullptr) return {};
+  return column->entries;
 }
 
 ExplicitAcm::LabelCounts ExplicitAcm::CountLabels(ObjectId object,
                                                   RightId right) const {
   LabelCounts counts;
-  auto it = column_index_.find(ColumnKey(object, right));
-  if (it == column_index_.end()) return counts;
-  for (const ColumnEntry& e : it->second) {
+  for (const ColumnEntry& e : Column(object, right)) {
     if (e.mode == Mode::kPositive) {
       ++counts.positive;
     } else {
@@ -189,11 +230,13 @@ ExplicitAcm::LabelCounts ExplicitAcm::CountLabels(ObjectId object,
 
 std::vector<ExplicitAcm::Entry> ExplicitAcm::SortedEntries() const {
   std::vector<Entry> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, mode] : entries_) {
-    out.push_back(Entry{static_cast<graph::NodeId>(key >> 32),
-                        static_cast<ObjectId>((key >> 16) & 0xFFFF),
-                        static_cast<RightId>(key & 0xFFFF), mode});
+  out.reserve(size_);
+  for (const auto& [key, column] : columns_) {
+    const auto object = static_cast<ObjectId>(key >> 16);
+    const auto right = static_cast<RightId>(key & 0xFFFF);
+    for (const ColumnEntry& e : column->entries) {
+      out.push_back(Entry{e.subject, object, right, e.mode});
+    }
   }
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.subject != b.subject) return a.subject < b.subject;
@@ -215,26 +258,20 @@ std::optional<Mode> ExplicitAcm::ReachRowMode(std::span<const uint64_t> row,
 }
 
 std::vector<uint64_t> ExplicitAcm::ReachRow(graph::NodeId subject) const {
-  std::vector<uint64_t> row;
-  for (const auto& [key, mode] : entries_) {
-    if (static_cast<graph::NodeId>(key >> 32) != subject) continue;
-    row.push_back(PackReachEntry(static_cast<ObjectId>((key >> 16) & 0xFFFF),
-                                 static_cast<RightId>(key & 0xFFFF), mode));
-  }
-  std::sort(row.begin(), row.end());
-  return row;
+  return ReachRowsFor(std::span<const graph::NodeId>(&subject, 1)).front().row;
 }
 
 std::vector<graph::ReachLabeledRow> ExplicitAcm::ReachRows() const {
   std::unordered_map<graph::NodeId, size_t> slot;
   std::vector<graph::ReachLabeledRow> rows;
-  for (const auto& [key, mode] : entries_) {
-    const auto subject = static_cast<graph::NodeId>(key >> 32);
-    auto [it, inserted] = slot.try_emplace(subject, rows.size());
-    if (inserted) rows.push_back(graph::ReachLabeledRow{subject, {}});
-    rows[it->second].row.push_back(
-        PackReachEntry(static_cast<ObjectId>((key >> 16) & 0xFFFF),
-                       static_cast<RightId>(key & 0xFFFF), mode));
+  for (const auto& [key, column] : columns_) {
+    const auto object = static_cast<ObjectId>(key >> 16);
+    const auto right = static_cast<RightId>(key & 0xFFFF);
+    for (const ColumnEntry& e : column->entries) {
+      auto [it, inserted] = slot.try_emplace(e.subject, rows.size());
+      if (inserted) rows.push_back(graph::ReachLabeledRow{e.subject, {}});
+      rows[it->second].row.push_back(PackReachEntry(object, right, e.mode));
+    }
   }
   for (graph::ReachLabeledRow& r : rows) {
     std::sort(r.row.begin(), r.row.end());
@@ -244,22 +281,20 @@ std::vector<graph::ReachLabeledRow> ExplicitAcm::ReachRows() const {
 
 std::vector<graph::ReachLabeledRow> ExplicitAcm::ReachRowsFor(
     std::span<const graph::NodeId> subjects) const {
-  std::unordered_map<graph::NodeId, size_t> slot;
+  // One subject lookup per (subject, column): a row edit touches few
+  // subjects, and the matrix has far fewer columns than entries.
   std::vector<graph::ReachLabeledRow> rows;
   rows.reserve(subjects.size());
   for (const graph::NodeId s : subjects) {
-    auto [it, inserted] = slot.try_emplace(s, rows.size());
-    if (inserted) rows.push_back(graph::ReachLabeledRow{s, {}});
-  }
-  for (const auto& [key, mode] : entries_) {
-    const auto subject = static_cast<graph::NodeId>(key >> 32);
-    const auto it = slot.find(subject);
-    if (it == slot.end()) continue;
-    rows[it->second].row.push_back(
-        PackReachEntry(static_cast<ObjectId>((key >> 16) & 0xFFFF),
-                       static_cast<RightId>(key & 0xFFFF), mode));
-  }
-  for (graph::ReachLabeledRow& r : rows) {
+    graph::ReachLabeledRow& r = rows.emplace_back();
+    r.node = s;
+    for (const auto& [key, column] : columns_) {
+      if (const ColumnEntry* e = column->Find(s)) {
+        r.row.push_back(PackReachEntry(static_cast<ObjectId>(key >> 16),
+                                       static_cast<RightId>(key & 0xFFFF),
+                                       e->mode));
+      }
+    }
     std::sort(r.row.begin(), r.row.end());
   }
   return rows;

@@ -2,11 +2,13 @@
 #define UCR_ACM_ACM_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "acm/mode.h"
@@ -39,6 +41,13 @@ using RightId = uint16_t;
 /// matrix at 65,536 objects and rights each (subjects are 32-bit).
 /// Every mutation bumps `epoch()`, which resolution caches use for
 /// invalidation.
+///
+/// Entries live per (object, right) column, each column behind its own
+/// reference-counted pointer (DESIGN.md §11): copying the matrix costs
+/// O(columns), and an edit clones only the column it touches while
+/// another copy still shares it. Like `graph::Dag`, copies and their
+/// destruction must be ordered with the writer's edits (readers of a
+/// shared copy only read).
 class ExplicitAcm {
  public:
   ExplicitAcm() = default;
@@ -78,7 +87,7 @@ class ExplicitAcm {
                           RightId right) const;
 
   /// Number of explicit authorizations stored.
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return size_; }
 
   /// Monotonic counter bumped by every successful mutation.
   uint64_t epoch() const { return epoch_; }
@@ -164,36 +173,49 @@ class ExplicitAcm {
   /// unspecified (index construction does not depend on it).
   std::vector<graph::ReachLabeledRow> ReachRows() const;
 
-  /// Packed rows for exactly `subjects` (including now-empty ones, so
-  /// incremental index rebuilds observe un-labelings). One matrix scan
-  /// regardless of the subject count.
+  /// Packed rows for exactly `subjects`, one per listed id (including
+  /// now-empty ones, so incremental index rebuilds observe
+  /// un-labelings). One subject lookup per column and subject.
   std::vector<graph::ReachLabeledRow> ReachRowsFor(
       std::span<const graph::NodeId> subjects) const;
 
  private:
-  static uint64_t Key(graph::NodeId s, ObjectId o, RightId r) {
-    return (static_cast<uint64_t>(s) << 32) |
-           (static_cast<uint64_t>(o) << 16) | static_cast<uint64_t>(r);
+  /// One (object, right) column: its entries in insertion order (an
+  /// erase moves the last entry into the hole), a subject lookup, and
+  /// the column epoch. Flat vectors, so a clone is two copies.
+  struct ColumnData {
+    std::vector<ColumnEntry> entries;
+    /// (subject, position in `entries`), sorted by subject.
+    std::vector<std::pair<graph::NodeId, uint32_t>> positions;
+    uint64_t epoch = 0;
+
+    /// Entry of `subject`, or null.
+    const ColumnEntry* Find(graph::NodeId subject) const;
+    /// Entry of `subject`, appended with `mode` if absent.
+    ColumnEntry& FindOrInsert(graph::NodeId subject, Mode mode,
+                              bool* inserted);
+    /// Removes `subject`'s entry; false if absent.
+    bool Remove(graph::NodeId subject);
+  };
+
+  static uint32_t ColumnKey(ObjectId o, RightId r) {
+    return (static_cast<uint32_t>(o) << 16) | static_cast<uint32_t>(r);
   }
+  /// The column, or null if it was never written.
+  const ColumnData* FindColumn(ObjectId object, RightId right) const;
+  /// The column, created empty or cloned from a shared one first.
+  ColumnData& MutableColumn(ObjectId object, RightId right);
+  /// Advances the matrix epoch and stamps `column` with it; counts and
+  /// audits the mutation.
+  void BumpEpoch(ColumnData& column, graph::NodeId subject, ObjectId object,
+                 RightId right);
 
   std::vector<std::string> objects_;
   std::vector<std::string> rights_;
   StringMap<ObjectId> object_ids_;
   StringMap<RightId> right_ids_;
-  static uint32_t ColumnKey(ObjectId o, RightId r) {
-    return (static_cast<uint32_t>(o) << 16) | static_cast<uint32_t>(r);
-  }
-  void BumpEpoch(ObjectId object, RightId right) {
-    ++epoch_;
-    column_epochs_[ColumnKey(object, right)] = epoch_;
-  }
-
-  std::unordered_map<uint64_t, Mode> entries_;
-  std::unordered_map<uint32_t, uint64_t> column_epochs_;
-  /// Per-column view of entries_, so per-query label extraction costs
-  /// O(column size) instead of O(matrix size). Erased subjects are
-  /// compacted lazily on extraction.
-  std::unordered_map<uint32_t, std::vector<ColumnEntry>> column_index_;
+  std::unordered_map<uint32_t, std::shared_ptr<ColumnData>> columns_;
+  size_t size_ = 0;
   uint64_t epoch_ = 0;
 };
 

@@ -124,11 +124,14 @@ class EpochResolutionTable {
 ///
 /// Readers holding a pin may touch every member without
 /// synchronization: the graph and matrix are copies that no writer
-/// ever mutates (the graph's name table and the index's label pools
-/// are shared with the writer, which never writes a shared one — it
-/// clones the name table before appending, and each index generation
-/// writes only a pool of its own), and the decision table is lock-free
-/// and only fills.
+/// ever mutates, and the decision table is lock-free and only fills.
+/// The copies share most of their blocks with the writer — the graph's
+/// name table, pages and adjacency chunks, the matrix's columns, the
+/// index's slot pages and label pools — but the writer clones any
+/// block still shared before writing it. That test reads reference
+/// counts, so only the writer's thread may copy or destroy a snapshot
+/// (it builds and retires them); readers only read through a pin
+/// (DESIGN.md §11).
 struct HierarchySnapshot {
   HierarchySnapshot(
       uint64_t epoch_in, graph::Dag dag_in, acm::ExplicitAcm eacm_in,

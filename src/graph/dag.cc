@@ -164,8 +164,8 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
   Dag dag;
   dag.edge_count_ = children.size();
   dag.names_ = std::move(table);
-  dag.children_ = Adjacency::FromOffsets(child_offsets, std::move(children));
-  dag.parents_ = Adjacency::FromOffsets(parent_offsets, std::move(parents));
+  dag.children_ = Adjacency::FromOffsets(child_offsets, children);
+  dag.parents_ = Adjacency::FromOffsets(parent_offsets, parents);
   dag.node_generations_.assign(n, 0);
 
   // Acyclicity last, on the assembled graph: Kahn's completes iff the
@@ -177,60 +177,93 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
 }
 
 Dag::Adjacency Dag::Adjacency::FromOffsets(const std::vector<size_t>& offsets,
-                                           std::vector<NodeId> pool) {
+                                           const std::vector<NodeId>& pool) {
   Adjacency adj;
-  adj.ranges_.reserve(offsets.size() - 1);
+  std::vector<Range> ranges;
+  ranges.reserve(offsets.size() - 1);
   for (size_t v = 0; v + 1 < offsets.size(); ++v) {
     const auto len = static_cast<uint32_t>(offsets[v + 1] - offsets[v]);
-    adj.ranges_.push_back(Range{offsets[v], len, len});
+    Range& r = ranges.emplace_back(adj.Place(len));
+    std::copy_n(pool.begin() + static_cast<ptrdiff_t>(offsets[v]), len,
+                adj.chunks_[r.chunk].get() + r.begin);
+    r.len = len;
   }
-  adj.pool_ = std::move(pool);
+  adj.ranges_.Append(ranges);
   return adj;
 }
 
+void Dag::Adjacency::AddNode() { ranges_.push_back(Place(0)); }
+
+Dag::Adjacency::Range Dag::Adjacency::Place(uint32_t cap) {
+  if (chunks_.empty() || used_.back() + cap > kChunkSize) {
+    chunks_.push_back(std::make_shared<NodeId[]>(std::max(cap, kChunkSize)));
+    used_.push_back(0);
+  }
+  const auto c = static_cast<uint32_t>(chunks_.size() - 1);
+  if (cap > 0) MutableChunk(c);
+  const uint32_t begin = used_[c];
+  used_[c] += cap;
+  slots_ += cap;
+  return Range{c, begin, 0, cap};
+}
+
+NodeId* Dag::Adjacency::MutableChunk(uint32_t c) {
+  std::shared_ptr<NodeId[]>& chunk = chunks_[c];
+  if (chunk.use_count() > 1) {
+    auto copy = std::make_shared<NodeId[]>(std::max(used_[c], kChunkSize));
+    std::copy_n(chunk.get(), used_[c], copy.get());
+    chunk = std::move(copy);
+  }
+  return chunk.get();
+}
+
 void Dag::Adjacency::Append(NodeId v, NodeId id, size_t live) {
-  Range& r = ranges_[v];
+  Range r = ranges_[v];
   if (r.len == r.cap) {
     // Out of slack: move the list to the pool's end with room to grow
     // (doubling keeps a growing list's moves amortized O(1) per id).
-    const size_t begin = pool_.size();
-    const uint32_t cap = std::max<uint32_t>(4, 2 * r.len);
-    pool_.resize(begin + cap);
-    std::copy_n(pool_.begin() + static_cast<ptrdiff_t>(r.begin), r.len,
-                pool_.begin() + static_cast<ptrdiff_t>(begin));
-    r.begin = begin;
-    r.cap = cap;
+    // Place may clone the chunk the list sits in, so read it after.
+    Range moved = Place(std::max<uint32_t>(4, 2 * r.len));
+    std::copy_n(chunks_[r.chunk].get() + r.begin, r.len,
+                chunks_[moved.chunk].get() + moved.begin);
+    moved.len = r.len;
+    r = moved;
   }
-  pool_[r.begin + r.len++] = id;
+  MutableChunk(r.chunk)[r.begin + r.len++] = id;
+  ranges_.Mutable(v) = r;
   // Holes (abandoned ranges and slack) beyond half the pool: a repack
   // costs O(V + E) and needs Omega(E) pool growth to trigger again.
-  if (pool_.size() - live > pool_.size() / 2) Repack(live);
+  if (slots_ - live > slots_ / 2) Repack(live);
 }
 
 void Dag::Adjacency::Remove(NodeId v, NodeId id) {
-  Range& r = ranges_[v];
-  const auto first = pool_.begin() + static_cast<ptrdiff_t>(r.begin);
-  const auto last = first + r.len;
-  const auto it = std::find(first, last, id);
+  Range& r = ranges_.Mutable(v);
+  NodeId* const first = MutableChunk(r.chunk) + r.begin;
+  NodeId* const last = first + r.len;
+  NodeId* const it = std::find(first, last, id);
   std::copy(it + 1, last, it);
   --r.len;
 }
 
 void Dag::Adjacency::Repack(size_t live) {
-  std::vector<NodeId> pool;
-  pool.reserve(live);
-  for (Range& r : ranges_) {
-    const auto first = pool_.begin() + static_cast<ptrdiff_t>(r.begin);
-    r.begin = pool.size();
-    r.cap = r.len;
-    pool.insert(pool.end(), first, first + r.len);
+  const std::vector<std::shared_ptr<NodeId[]>> old = std::move(chunks_);
+  chunks_.clear();
+  used_.clear();
+  chunks_.reserve(live / kChunkSize + 1);
+  slots_ = 0;
+  for (NodeId v = 0; v < ranges_.size(); ++v) {
+    const Range from = ranges_[v];
+    Range to = Place(from.len);
+    std::copy_n(old[from.chunk].get() + from.begin, from.len,
+                chunks_[to.chunk].get() + to.begin);
+    to.len = from.len;
+    ranges_.Mutable(v) = to;
   }
-  pool_ = std::move(pool);
 }
 
 void Dag::StampNodes(const std::vector<NodeId>& nodes) {
   ++generation_;
-  for (NodeId v : nodes) node_generations_[v] = generation_;
+  for (NodeId v : nodes) node_generations_.Mutable(v) = generation_;
 }
 
 NodeId Dag::EnsureNode(std::string_view name) {
@@ -379,7 +412,7 @@ StatusOr<Dag> DagBuilder::Build() && {
       pool.insert(pool.end(), list.begin(), list.end());
       offsets.push_back(pool.size());
     }
-    return Dag::Adjacency::FromOffsets(offsets, std::move(pool));
+    return Dag::Adjacency::FromOffsets(offsets, pool);
   };
 
   Dag dag;

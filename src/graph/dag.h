@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/paged_array.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -35,14 +36,19 @@ inline constexpr NodeId kInvalidNode = UINT32_MAX;
 /// must quiesce readers around an edit (the write path of
 /// `AccessControlSystem` does).
 ///
-/// Copies are structurally shared where that is cheap to get right
-/// (DESIGN.md §11): the name table sits behind one reference-counted
-/// pointer and is cloned only when `EnsureNode` appends a name while
-/// another copy still holds it, so a published snapshot's copy costs
-/// the per-node arrays and the adjacency pools, not every name string
-/// and a hash map over them. Adjacency is a *slack* CSR: per-node
-/// `(begin, len, cap)` ranges over one id pool per direction, so an
-/// edge edit costs O(degree).
+/// Copies share everything an edit does not write (DESIGN.md §11):
+/// the name table sits behind one reference-counted pointer and is
+/// cloned only when `EnsureNode` appends a name while another copy
+/// still holds it; the per-node arrays are `PagedArray`s and the
+/// adjacency pools lists of shared chunks, cloned a page or chunk at a
+/// time on first write. A published snapshot's copy therefore costs
+/// O(directories + chunks) references, and the next edit O(touched
+/// pages). Whether a block is shared is read from its reference count,
+/// so copies that share blocks must be made and destroyed on the
+/// thread that mutates (readers of a shared copy only read).
+/// Adjacency is a *slack* CSR: per-node `(chunk, begin, len, cap)`
+/// ranges over one chunked id pool per direction, so an edge edit
+/// costs O(degree).
 ///
 /// Every successful structural mutation bumps `generation()` and
 /// stamps the nodes whose *ancestor sets* the edit can have changed —
@@ -115,13 +121,6 @@ class Dag {
   /// they captured at derivation time.
   uint64_t node_generation(NodeId id) const { return node_generations_[id]; }
 
-  /// All per-node stamps at once, indexed by node id — for bulk
-  /// survivorship filters (snapshot carry-over scans every cached
-  /// entry; one span read beats node_count() bounds-checked calls).
-  std::span<const uint64_t> node_generations() const {
-    return node_generations_;
-  }
-
   /// Returns the id of `name`, appending a new isolated node (a root
   /// and sink, stamped with a fresh generation) if absent. Copies of
   /// this graph taken earlier never see the new name: a name table
@@ -182,23 +181,25 @@ class Dag {
     StringMap<NodeId> ids;
   };
 
-  /// One adjacency direction as a slack CSR: node `v`'s list is
-  /// `pool[begin, begin + len)`, with room up to `begin + cap`. Lists
+  /// One adjacency direction as a slack CSR over a chunked pool: node
+  /// `v`'s list is `chunk[begin, begin + len)`, with room up to `begin
+  /// + cap`. A list never straddles a chunk, so it stays one span;
+  /// chunks are shared between copies and cloned on first write. Lists
   /// keep insertion order (the `DagBuilder` contract `graph/io.cc`
   /// encodes through).
   class Adjacency {
    public:
     /// Packed (cap == len) lists, from CSR offsets over `pool`.
     static Adjacency FromOffsets(const std::vector<size_t>& offsets,
-                                 std::vector<NodeId> pool);
+                                 const std::vector<NodeId>& pool);
 
     std::span<const NodeId> list(NodeId v) const {
       const Range& r = ranges_[v];
-      return {pool_.data() + r.begin, r.len};
+      return {chunks_[r.chunk].get() + r.begin, r.len};
     }
-    size_t slots() const { return pool_.size(); }
+    size_t slots() const { return slots_; }
     /// Appends an empty list for a new node.
-    void AddNode() { ranges_.push_back(Range{pool_.size(), 0, 0}); }
+    void AddNode();
     /// Appends `id` to `v`'s list; `live` is the edge count after the
     /// append (the repack trigger compares holes against it).
     void Append(NodeId v, NodeId id, size_t live);
@@ -206,16 +207,30 @@ class Dag {
     void Remove(NodeId v, NodeId id);
 
    private:
+    /// Ids per chunk. A list that outgrows its slack moves to the tail
+    /// chunk; one longer than this gets a chunk of its own.
+    static constexpr uint32_t kChunkSize = 4096;
+
     struct Range {
-      size_t begin = 0;
+      uint32_t chunk = 0;
+      uint32_t begin = 0;
       uint32_t len = 0;
       uint32_t cap = 0;
     };
+    /// Reserves `cap` slots at the pool's end: in the tail chunk if it
+    /// has room, else in a fresh chunk. Returns the empty range.
+    Range Place(uint32_t cap);
+    /// Chunk `c`'s ids, cloned first if another copy shares it.
+    NodeId* MutableChunk(uint32_t c);
     /// Rewrites the pool with every list packed (cap == len).
     void Repack(size_t live);
 
-    std::vector<Range> ranges_;
-    std::vector<NodeId> pool_;
+    PagedArray<Range> ranges_;
+    /// Chunk `c` holds max(used_[c], kChunkSize) ids, the first
+    /// used_[c] of them placed (lists, their slack, and holes).
+    std::vector<std::shared_ptr<NodeId[]>> chunks_;
+    std::vector<uint32_t> used_;
+    size_t slots_ = 0;  ///< Sum of `used_`.
   };
 
   /// Stamps `nodes` with a freshly bumped generation.
@@ -227,7 +242,7 @@ class Dag {
   Adjacency children_;
   Adjacency parents_;
   uint64_t generation_ = 0;
-  std::vector<uint64_t> node_generations_;
+  PagedArray<uint64_t> node_generations_;
 };
 
 /// \brief Incremental, validating constructor of `Dag`.

@@ -104,24 +104,38 @@ void ReachabilityIndex::AssignClasses(const Dag& dag,
                                       std::span<const ReachLabeledRow> rows) {
   const size_t n = dag.node_count();
   nodes_.assign(n, NodeSlot{});
+  folded_nodes_ = n;
   for (const ReachLabeledRow& r : rows) {
     assert(r.node < n);
     assert(std::is_sorted(r.row.begin(), r.row.end()));
     if (r.row.empty()) continue;  // Unlabeled: root-ness decides below.
-    nodes_[r.node].cls = InternClass(r.row, dag.is_root(r.node));
+    Reassign(r.node, InternClass(r.row, dag.is_root(r.node)));
   }
   for (NodeId v = 0; v < n; ++v) {
     if (nodes_[v].cls == kInteriorClass && dag.is_root(v)) {
-      nodes_[v].cls = InternClass({}, true);
+      Reassign(v, InternClass({}, true));
     }
-  }
-  for (const NodeSlot& slot : nodes_) {
-    if (slot.cls != kInteriorClass) ++classes_[slot.cls].members;
   }
 }
 
+void ReachabilityIndex::Reassign(NodeId v, ClassId next) {
+  const ClassId cur = nodes_[v].cls;
+  if (cur == next) return;
+  if (cur == kInteriorClass) {
+    --folded_nodes_;
+  } else if (--classes_[cur].members == 0) {
+    --supernodes_;
+  }
+  if (next == kInteriorClass) {
+    ++folded_nodes_;
+  } else if (classes_[next].members++ == 0) {
+    ++supernodes_;
+  }
+  nodes_.Mutable(v).cls = next;
+}
+
 bool ReachabilityIndex::ComputeLabels(const Dag& dag,
-                                      const std::vector<uint8_t>* affected,
+                                      std::span<const NodeId> affected,
                                       const ReachabilityIndex* prev) {
   const size_t n = dag.node_count();
   const size_t pool_budget = n * options_.max_mean_label_entries;
@@ -133,7 +147,7 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
   // precede it in the Kahn order).
   std::vector<NodeId> order;
   auto pool = std::make_shared<LabelPool>();
-  if (affected == nullptr) {
+  if (prev == nullptr) {
     order = dag.TopologicalOrder();
     DropLabels();
     // One entry per node is a floor for any labeled hierarchy; the
@@ -142,26 +156,41 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
   } else {
     // `nodes_` already holds `prev`'s views (the caller copied them
     // along with the classes).
-    assert(prev != nullptr && prev->ready());
+    assert(prev->ready());
     label_pools_ = prev->label_pools_;
     live_entries_ = prev->live_entries_;
     pooled_entries_ = prev->pooled_entries_;
     // Kahn over the affected nodes only: in-degree restricted to
-    // affected parents.
-    std::vector<uint32_t> indegree(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!(*affected)[v]) continue;
-      live_entries_ -= nodes_[v].label_len;  // Superseded below: dead.
+    // affected parents, membership by binary search in the sorted
+    // list, so the pass costs O(affected degree * log affected).
+    const auto position = [&](NodeId v) {
+      const auto it = std::lower_bound(affected.begin(), affected.end(), v);
+      return it != affected.end() && *it == v
+                 ? static_cast<size_t>(it - affected.begin())
+                 : affected.size();
+    };
+    std::vector<uint32_t> indegree(affected.size(), 0);
+    // The superseded labels' total size predicts the new pool's: an
+    // edit rarely moves it by more than one entry per node.
+    size_t superseded = 0;
+    for (size_t i = 0; i < affected.size(); ++i) {
+      const NodeId v = affected[i];
+      superseded += nodes_[v].label_len;
       uint32_t d = 0;
-      for (const NodeId p : dag.parents(v)) d += (*affected)[p] ? 1u : 0u;
-      indegree[v] = d;
+      for (const NodeId p : dag.parents(v)) {
+        d += position(p) < affected.size() ? 1u : 0u;
+      }
+      indegree[i] = d;
       if (d == 0) order.push_back(v);
     }
     for (size_t head = 0; head < order.size(); ++head) {
       for (const NodeId c : dag.children(order[head])) {
-        if ((*affected)[c] && --indegree[c] == 0) order.push_back(c);
+        const size_t i = position(c);
+        if (i < affected.size() && --indegree[i] == 0) order.push_back(c);
       }
     }
+    live_entries_ -= superseded;  // Dead once the new labels land.
+    pool->reserve(superseded + affected.size());
   }
 
   // Topological DP: L(v) = sum over parents p of shift1(L(p)) plus a
@@ -182,8 +211,10 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
     const NodeId v = order[k];
     acc.clear();
     for (const NodeId p : dag.parents(v)) {
-      const std::span<const ProfileEntry> parent_label = label(p);
-      const ClassId pc = nodes_[p].cls;
+      const NodeSlot& parent = nodes_[p];
+      const std::span<const ProfileEntry> parent_label(parent.label,
+                                                       parent.label_len);
+      const ClassId pc = parent.cls;
       run.clear();
       size_t i = 0;
       if (pc != kInteriorClass) {
@@ -215,12 +246,13 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
     if (pool->size() + out > pool->capacity()) {
       pool->reserve(std::max(2 * pool->capacity(), pool->size() + out));
       for (size_t j = 0; j < k; ++j) {
-        nodes_[order[j]].label = pool->data() + offsets[j];
+        nodes_.Mutable(order[j]).label = pool->data() + offsets[j];
       }
     }
     offsets.push_back(pool->size());
-    nodes_[v].label = pool->data() + pool->size();
-    nodes_[v].label_len = static_cast<uint32_t>(out);
+    NodeSlot& slot = nodes_.Mutable(v);
+    slot.label = pool->data() + pool->size();
+    slot.label_len = static_cast<uint32_t>(out);
     pool->insert(pool->end(), acc.begin(), acc.end());
     live_entries_ += out;
   }
@@ -244,7 +276,8 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
 void ReachabilityIndex::RepackLabels() {
   auto pool = std::make_shared<LabelPool>();
   pool->reserve(live_entries_);
-  for (NodeSlot& slot : nodes_) {
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    NodeSlot& slot = nodes_.Mutable(v);
     const ProfileEntry* const first = slot.label;
     slot.label = pool->data() + pool->size();
     pool->insert(pool->end(), first, first + slot.label_len);
@@ -254,7 +287,9 @@ void ReachabilityIndex::RepackLabels() {
 }
 
 void ReachabilityIndex::DropLabels() {
-  for (NodeSlot& slot : nodes_) {
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    if (nodes_[v].label == nullptr) continue;
+    NodeSlot& slot = nodes_.Mutable(v);
     slot.label = nullptr;
     slot.label_len = 0;
   }
@@ -266,12 +301,8 @@ void ReachabilityIndex::DropLabels() {
 ReachabilityIndex::IndexStats ReachabilityIndex::stats() const {
   IndexStats s;
   s.ready = ready_;
-  for (const ClassData& c : classes_) {
-    if (c.members > 0) ++s.supernodes;
-  }
-  for (const NodeSlot& slot : nodes_) {
-    if (slot.cls == kInteriorClass) ++s.folded_nodes;
-  }
+  s.supernodes = supernodes_;
+  s.folded_nodes = folded_nodes_;
   s.label_entries = live_entries_;
   s.label_bytes = pooled_entries_ * sizeof(ProfileEntry) +
                   nodes_.size() * sizeof(NodeSlot);
@@ -311,7 +342,7 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::Build(
   index->dag_generation_ = dag.generation();
   index->acm_epoch_ = acm_epoch;
   index->AssignClasses(dag, rows);
-  index->ready_ = index->ComputeLabels(dag, nullptr, nullptr);
+  index->ready_ = index->ComputeLabels(dag, {}, nullptr);
   if (!index->ready_) {
     index->DropLabels();
     if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();
@@ -342,62 +373,51 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
   index->classes_ = previous->classes_;
   index->class_ids_ = previous->class_ids_;
   index->nodes_ = previous->nodes_;
-  index->nodes_.resize(n, NodeSlot{});
-  const auto reassign = [&](NodeId v, ClassId next) {
-    ClassId& cur = index->nodes_[v].cls;
-    if (cur == next) return;
-    if (cur != kInteriorClass) --index->classes_[cur].members;
-    if (next != kInteriorClass) ++index->classes_[next].members;
-    cur = next;
-  };
+  index->nodes_.Grow(n, NodeSlot{});
+  index->supernodes_ = previous->supernodes_;
+  index->folded_nodes_ = previous->folded_nodes_ + (n - previous->node_count());
   for (const ReachLabeledRow& r : changed_rows) {
     assert(r.node < n);
-    reassign(r.node, r.row.empty()
-                         ? (dag.is_root(r.node)
-                                ? index->InternClass({}, true)
-                                : kInteriorClass)
-                         : index->InternClass(r.row, dag.is_root(r.node)));
+    index->Reassign(r.node, r.row.empty()
+                                ? (dag.is_root(r.node)
+                                       ? index->InternClass({}, true)
+                                       : kInteriorClass)
+                                : index->InternClass(r.row,
+                                                     dag.is_root(r.node)));
   }
 
-  // Affected bitmap: caller-listed nodes plus nodes new since
-  // `previous`.
-  std::vector<uint8_t> dirty(n, 0);
-  for (const NodeId v : affected) {
-    assert(v < n);
-    dirty[v] = 1;
+  // The nodes to relabel: caller-listed nodes plus nodes new since
+  // `previous`, sorted for the Kahn pass's lookups.
+  std::vector<NodeId> dirty(affected.begin(), affected.end());
+  for (auto v = static_cast<NodeId>(previous->node_count()); v < n; ++v) {
+    dirty.push_back(v);
   }
-  for (NodeId v = static_cast<NodeId>(previous->node_count());
-       v < static_cast<NodeId>(n); ++v) {
-    dirty[v] = 1;
-    if (index->nodes_[v].cls == kInteriorClass && dag.is_root(v)) {
-      reassign(v, index->InternClass({}, true));
-    }
-  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  assert(dirty.empty() || dirty.back() < n);
+
   // Edge edits can flip root-ness (an erase leaving the child
   // parentless, an insert taking a root's independence away), and
   // root-ness is half of the class key: the unlabeled-root class seeds
   // `kDefault`, and `kFirstWins` restricts seeding to root classes.
   // The flips happen only at edited children, which the caller's
-  // affected set covers — re-derive those nodes' classes from the
-  // current hierarchy.
-  for (const NodeId v : affected) {
+  // affected set covers — re-derive those nodes' classes (and new
+  // nodes') from the current hierarchy.
+  for (const NodeId v : dirty) {
     const ClassId cur = index->nodes_[v].cls;
     const bool root = dag.is_root(v);
     if (cur == kInteriorClass) {
-      if (root) reassign(v, index->InternClass({}, true));
+      if (root) index->Reassign(v, index->InternClass({}, true));
       continue;
     }
     if (index->classes_[cur].is_root == root) continue;
     std::vector<uint64_t> row = index->classes_[cur].row;
-    reassign(v, row.empty() && !root
-                    ? kInteriorClass
-                    : index->InternClass(std::move(row), root));
+    index->Reassign(v, row.empty() && !root
+                           ? kInteriorClass
+                           : index->InternClass(std::move(row), root));
   }
   // A changed row changes what v's *descendants* inherit; callers pass
   // DescendantsOf(v) in `affected`, which includes v itself.
-
-  size_t dirty_count = 0;
-  for (const uint8_t d : dirty) dirty_count += d;
 
   // Budget aborts are sticky: without previous labels there is nothing
   // to scope the rebuild against, and a topology that blew the budget
@@ -406,7 +426,7 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
     index->ready_ = false;
     index->DropLabels();
   } else {
-    index->ready_ = index->ComputeLabels(dag, &dirty, previous.get());
+    index->ready_ = index->ComputeLabels(dag, dirty, previous.get());
     if (!index->ready_) {
       index->DropLabels();
       if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();
@@ -416,7 +436,7 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
     ReachMetrics& m = Metrics();
     m.incremental.Inc();
     m.rebuild_ns.Observe(obs::NowNs() - start_ns);
-    m.affected.Observe(dirty_count);
+    m.affected.Observe(dirty.size());
   }
   index->PublishMetrics();
   return index;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/dag.h"
+#include "util/paged_array.h"
 
 namespace ucr::graph {
 
@@ -70,12 +71,14 @@ struct ReachabilityOptions {
 /// set* — the edited-child-plus-descendants sets the PR 5 scoped
 /// invalidation machinery already produces — writes them into one new
 /// pool, and shares every older pool with the previous generation, so
-/// an edit costs O(affected) label work plus the per-node pointer
-/// arrays. Once dead entries (labels superseded by later generations)
-/// outnumber live ones, a rebuild repacks every live label into one
-/// pool. Each `HierarchySnapshot` carries a shared immutable view, so
-/// snapshot readers stay lock-free. Boolean reachability is a separate
-/// structure, `ReachQuery` (graph/reach_query.h), built on demand.
+/// an edit costs O(affected) label work. The per-node slots are a
+/// `PagedArray` shared the same way, so a generation also copies only
+/// the slot pages its affected nodes sit in. Once dead entries (labels
+/// superseded by later generations) outnumber live ones, a rebuild
+/// repacks every live label into one pool. Each `HierarchySnapshot`
+/// carries a shared immutable view, so snapshot readers stay
+/// lock-free. Boolean reachability is a separate structure,
+/// `ReachQuery` (graph/reach_query.h), built on demand.
 class ReachabilityIndex {
  public:
   using ClassId = uint32_t;
@@ -169,9 +172,11 @@ class ReachabilityIndex {
 
   /// Compressed label of node `v` (requires `ready()`).
   std::span<const ProfileEntry> label(NodeId v) const {
-    return {nodes_[v].label, nodes_[v].label_len};
+    const NodeSlot& slot = nodes_[v];
+    return {slot.label, slot.label_len};
   }
 
+  /// O(1): the class counters are kept current by every assignment.
   IndexStats stats() const;
 
   /// Summary-DAG edges between classes: `(from, to) -> distinct
@@ -195,13 +200,15 @@ class ReachabilityIndex {
 
   ClassId InternClass(std::vector<uint64_t> row, bool root);
   void AssignClasses(const Dag& dag, std::span<const ReachLabeledRow> rows);
-  /// Computes profile labels into one new pool. With `affected ==
-  /// nullptr` the whole hierarchy is labeled in topological order;
-  /// otherwise only nodes flagged in the bitmap are recomputed (in a
-  /// Kahn order over the affected-induced sub-graph) and every other
+  /// Moves node `v` to class `next`, keeping member and folded counts.
+  void Reassign(NodeId v, ClassId next);
+  /// Computes profile labels into one new pool. With `prev == nullptr`
+  /// the whole hierarchy is labeled in topological order; otherwise
+  /// only the nodes of `affected` (sorted, unique) are recomputed, in a
+  /// Kahn order over the affected-induced sub-graph, and every other
   /// node keeps `prev`'s label, pool shared. Returns false on budget
   /// breach.
-  bool ComputeLabels(const Dag& dag, const std::vector<uint8_t>* affected,
+  bool ComputeLabels(const Dag& dag, std::span<const NodeId> affected,
                      const ReachabilityIndex* prev);
   /// Copies every live label into one pool and drops the others.
   void RepackLabels();
@@ -229,7 +236,9 @@ class ReachabilityIndex {
     ClassId cls = kInteriorClass;
   };
   static_assert(sizeof(NodeSlot) == 16);
-  std::vector<NodeSlot> nodes_;
+  PagedArray<NodeSlot> nodes_;
+  size_t supernodes_ = 0;    ///< Classes with at least one member.
+  size_t folded_nodes_ = 0;  ///< Nodes in `kInteriorClass`.
   std::vector<std::shared_ptr<const LabelPool>> label_pools_;
   size_t live_entries_ = 0;    ///< Sum of `label_len`.
   size_t pooled_entries_ = 0;  ///< Sum of pool sizes (live + dead).

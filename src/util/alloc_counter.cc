@@ -15,11 +15,16 @@ namespace ucr {
 namespace alloc_counter_internal {
 
 std::atomic<uint64_t> g_news{0};
+std::atomic<uint64_t> g_bytes{0};
 
 }  // namespace alloc_counter_internal
 
 uint64_t AllocationCount() {
   return alloc_counter_internal::g_news.load(std::memory_order_relaxed);
+}
+
+uint64_t AllocatedBytes() {
+  return alloc_counter_internal::g_bytes.load(std::memory_order_relaxed);
 }
 
 void PublishAllocationGauge() {
@@ -41,19 +46,21 @@ namespace {
 // books: their traffic is deliberate observability work, not hot-path
 // leakage, and excluding it keeps the 0-allocs/query bound meaningful
 // with sampling enabled.
-void CountOne() noexcept {
+void CountOne(std::size_t size) noexcept {
   if (ucr::obs::AllocCountingSuspended()) return;
   ucr::alloc_counter_internal::g_news.fetch_add(1, std::memory_order_relaxed);
+  ucr::alloc_counter_internal::g_bytes.fetch_add(size,
+                                                 std::memory_order_relaxed);
 }
 
 void* CountedAllocate(std::size_t size) noexcept {
-  CountOne();
+  CountOne(size);
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* CountedAllocateAligned(std::size_t size, std::size_t align) noexcept {
-  CountOne();
+  CountOne(size);
   if (size == 0) size = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;

@@ -16,6 +16,13 @@ namespace ucr {
 /// the hot path's steady state allocates nothing).
 uint64_t AllocationCount();
 
+/// Bytes requested from the global `operator new` (all forms) since
+/// process start — the size argument summed, alignment padding and
+/// frees not counted. Same availability and exclusions as
+/// `AllocationCount()`; diff two samples to measure a region's heap
+/// traffic in bytes.
+uint64_t AllocatedBytes();
+
 /// Publishes the current `AllocationCount()` into the metrics registry
 /// as the gauge `ucr_heap_allocations`, so snapshots emitted by
 /// measuring binaries (bench `--smoke`, `ucr_admin metrics`) carry the

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "acm/mode.h"
 #include "graph/dag.h"
+#include "util/random.h"
 
 namespace ucr::acm {
 namespace {
@@ -139,6 +144,106 @@ TEST(ExplicitAcmTest, SortedEntriesAreOrdered) {
   EXPECT_EQ(entries[0].subject, 1u);
   EXPECT_EQ(entries[1].subject, 3u);
   EXPECT_EQ(entries[2].subject, 5u);
+}
+
+TEST(ExplicitAcmTest, EraseMovesTheLastEntryIntoTheHole) {
+  ExplicitAcm eacm;
+  const ObjectId o = eacm.InternObject("doc").value();
+  const RightId r = eacm.InternRight("read").value();
+  for (graph::NodeId s : {4u, 9u, 2u, 7u}) {
+    ASSERT_TRUE(eacm.Set(s, o, r, Mode::kPositive).ok());
+  }
+  ASSERT_TRUE(eacm.Erase(9, o, r));
+  std::vector<graph::NodeId> order;
+  for (const auto& e : eacm.Column(o, r)) order.push_back(e.subject);
+  EXPECT_EQ(order, (std::vector<graph::NodeId>{4, 7, 2}));
+  EXPECT_FALSE(eacm.Get(9, o, r).has_value());
+  EXPECT_EQ(eacm.Get(7, o, r), Mode::kPositive);
+  EXPECT_FALSE(eacm.Erase(9, o, r));
+  EXPECT_EQ(eacm.size(), 3u);
+}
+
+/// Everything a copy of the matrix must keep while the original
+/// mutates: every entry, each column's order and epoch, the counters.
+struct AcmImage {
+  std::vector<std::tuple<graph::NodeId, ObjectId, RightId, Mode>> entries;
+  std::vector<std::vector<graph::NodeId>> column_orders;
+  std::vector<uint64_t> column_epochs;
+  size_t size = 0;
+  uint64_t epoch = 0;
+  bool operator==(const AcmImage&) const = default;
+};
+
+AcmImage ImageOf(const ExplicitAcm& eacm) {
+  AcmImage image;
+  for (const auto& e : eacm.SortedEntries()) {
+    image.entries.emplace_back(e.subject, e.object, e.right, e.mode);
+  }
+  for (size_t o = 0; o < eacm.object_count(); ++o) {
+    for (size_t r = 0; r < eacm.right_count(); ++r) {
+      const auto object = static_cast<ObjectId>(o);
+      const auto right = static_cast<RightId>(r);
+      std::vector<graph::NodeId>& order = image.column_orders.emplace_back();
+      for (const auto& e : eacm.Column(object, right)) {
+        order.push_back(e.subject);
+      }
+      image.column_epochs.push_back(eacm.ColumnEpoch(object, right));
+    }
+  }
+  image.size = eacm.size();
+  image.epoch = eacm.epoch();
+  return image;
+}
+
+TEST(ExplicitAcmTest, CopiesKeepTheirColumnsWhileTheOriginalMutates) {
+  // Columns are shared between copies and cloned on first write: a
+  // copy taken before each edit must keep every entry, order and
+  // epoch, and the original must agree with a plain model.
+  ExplicitAcm eacm;
+  const RightId rights[] = {eacm.InternRight("read").value(),
+                            eacm.InternRight("write").value()};
+  const ObjectId objects[] = {eacm.InternObject("a").value(),
+                              eacm.InternObject("b").value()};
+  std::map<std::tuple<graph::NodeId, ObjectId, RightId>, Mode> model;
+  std::vector<std::pair<ExplicitAcm, AcmImage>> copies;
+  Random rng(11);
+  for (int step = 0; step < 1500; ++step) {
+    if (step % 100 == 99) {
+      for (const auto& [copy, image] : copies) {
+        ASSERT_TRUE(ImageOf(copy) == image) << "step " << step;
+      }
+      copies.clear();  // Back to sole ownership: in-place writes.
+    }
+    copies.emplace_back(eacm, ImageOf(eacm));
+    const auto s = static_cast<graph::NodeId>(rng.Uniform(64));
+    const ObjectId o = objects[rng.Uniform(2)];
+    const RightId r = rights[rng.Uniform(2)];
+    const Mode mode = rng.Bernoulli(0.5) ? Mode::kPositive : Mode::kNegative;
+    const auto key = std::make_tuple(s, o, r);
+    switch (rng.Uniform(3)) {
+      case 0: {
+        const bool ok = eacm.Set(s, o, r, mode).ok();
+        EXPECT_EQ(ok, !model.contains(key) || model[key] == mode);
+        if (ok) model[key] = mode;
+        break;
+      }
+      case 1:
+        eacm.Overwrite(s, o, r, mode);
+        model[key] = mode;
+        break;
+      default:
+        EXPECT_EQ(eacm.Erase(s, o, r), model.erase(key) == 1);
+    }
+  }
+  ASSERT_EQ(eacm.size(), model.size());
+  for (const auto& [key, mode] : model) {
+    const auto [s, o, r] = key;
+    EXPECT_EQ(eacm.Get(s, o, r), mode);
+  }
+  // Per-subject rows agree with the whole-matrix scan.
+  for (const graph::ReachLabeledRow& row : eacm.ReachRows()) {
+    EXPECT_EQ(eacm.ReachRow(row.node), row.row);
+  }
 }
 
 TEST(AcmTextTest, RoundTrip) {

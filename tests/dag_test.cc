@@ -9,6 +9,8 @@
 
 #include "core/binary_snapshot.h"
 #include "core/system.h"
+#include "graph/generators.h"
+#include "util/paged_array.h"
 #include "util/random.h"
 
 namespace ucr::graph {
@@ -23,6 +25,67 @@ Dag BuildSmall() {
   auto dag = std::move(b).Build();
   EXPECT_TRUE(dag.ok());
   return std::move(dag).value();
+}
+
+/// What a copy of a `Dag` must keep while the original mutates: both
+/// adjacency directions, every stamp, and the counters.
+struct DagImage {
+  std::vector<std::vector<NodeId>> children;
+  std::vector<std::vector<NodeId>> parents;
+  std::vector<uint64_t> stamps;
+  uint64_t generation = 0;
+  size_t edges = 0;
+  bool operator==(const DagImage&) const = default;
+};
+
+DagImage ImageOf(const Dag& dag) {
+  DagImage image;
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    image.children.emplace_back(dag.children(v).begin(),
+                                dag.children(v).end());
+    image.parents.emplace_back(dag.parents(v).begin(), dag.parents(v).end());
+    image.stamps.push_back(dag.node_generation(v));
+  }
+  image.generation = dag.generation();
+  image.edges = dag.edge_count();
+  return image;
+}
+
+/// Copies taken before edits, each with the image it must keep.
+using FrozenCopies = std::vector<std::pair<Dag, DagImage>>;
+
+void ExpectCopiesIntact(FrozenCopies& copies) {
+  for (size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_TRUE(ImageOf(copies[i].first) == copies[i].second)
+        << "copy " << i << " changed after later edits of the original";
+  }
+  // Dropping them hands the pages back to the original alone, so the
+  // next edits also run the in-place (unshared) path.
+  copies.clear();
+}
+
+TEST(PagedArrayTest, CopiesShareUntilWritten) {
+  constexpr size_t kPage = PagedArray<uint64_t>::kPageSize;
+  constexpr size_t kDir = kPage * PagedArray<uint64_t>::kDirSize;
+  PagedArray<uint64_t> a;
+  a.assign(2 * kDir + 5, 7);
+  const PagedArray<uint64_t> frozen = a;
+  a.Mutable(kPage + 1) = 42;     // First directory, second page.
+  a.Mutable(kDir + 3) = 43;      // Second directory.
+  a.push_back(9);                // Tail page, shared until now.
+  EXPECT_EQ(a[kPage + 1], 42u);
+  EXPECT_EQ(a[kDir + 3], 43u);
+  EXPECT_EQ(a[2 * kDir + 5], 9u);
+  EXPECT_EQ(a.size(), 2 * kDir + 6);
+  EXPECT_EQ(frozen.size(), 2 * kDir + 5);
+  // Growing fills a partial shared page and then new pages.
+  PagedArray<uint64_t> grown = frozen;
+  grown.Grow(3 * kDir + kPage + 2, 3);
+  EXPECT_EQ(grown[2 * kDir + 4], 7u);
+  EXPECT_EQ(grown[2 * kDir + 5], 3u);
+  EXPECT_EQ(grown[3 * kDir + kPage + 1], 3u);
+  EXPECT_EQ(grown.size(), 3 * kDir + kPage + 2);
+  for (size_t i = 0; i < frozen.size(); ++i) ASSERT_EQ(frozen[i], 7u);
 }
 
 TEST(DagBuilderTest, NodesGetSequentialIdsInFirstMentionOrder) {
@@ -256,7 +319,11 @@ TEST(DagMutationTest, MutatedDagMatchesFromScratchRebuild) {
   // BuildSmall's AddEdge order is parent-major already.
   Random rng(20261017);
   size_t repacks = 0;
+  // A copy before every edge edit: the edit must clone whatever pages
+  // and chunks it writes, leaving each copy bit-identical.
+  FrozenCopies copies;
   for (int step = 0; step < 600; ++step) {
+    if (step % 100 == 99) ExpectCopiesIntact(copies);
     const uint64_t choice = rng.Uniform(8);
     if (choice == 0 || dag.node_count() < 8) {
       dag.EnsureNode("n" + std::to_string(step));
@@ -266,16 +333,19 @@ TEST(DagMutationTest, MutatedDagMatchesFromScratchRebuild) {
     if (choice <= 4) {
       const auto c = static_cast<NodeId>(rng.Uniform(dag.node_count()));
       const size_t slots = dag.adjacency_slots();
+      copies.emplace_back(dag, ImageOf(dag));
       if (!dag.InsertEdge(p, c).ok()) continue;
       if (dag.adjacency_slots() < slots) ++repacks;
       edges.emplace_back(p, c);
     } else if (!dag.children(p).empty()) {
       const auto kids = dag.children(p);
       const NodeId c = kids[rng.Uniform(kids.size())];
+      copies.emplace_back(dag, ImageOf(dag));
       ASSERT_TRUE(dag.EraseEdge(p, c).ok());
       edges.erase(std::find(edges.begin(), edges.end(), std::pair{p, c}));
     }
   }
+  ExpectCopiesIntact(copies);
   EXPECT_GT(repacks, 0u);
   ASSERT_GT(dag.node_count(), 4u);
   EXPECT_EQ(dag.name(4), "n0");
@@ -323,6 +393,37 @@ TEST(DagMutationTest, MutatedDagMatchesFromScratchRebuild) {
       EXPECT_LT(position[v], position[child]);
     }
   }
+}
+
+TEST(DagMutationTest, CopiesKeepAdjacencyAndStampsAcrossPagesAndChunks) {
+  // Large enough for many pages per per-node array and several chunks
+  // per adjacency pool, so edits land in pages and chunks that other
+  // copies share — and lists outgrow their slack into the tail chunk.
+  Random rng(7);
+  ScaleLayeredDagOptions shape;
+  shape.nodes = 3000;
+  shape.layers = 5;
+  shape.parents_per_node = 2;
+  auto built = GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(built.ok());
+  Dag dag = std::move(built).value();
+  FrozenCopies copies;
+  size_t edits = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (step % 50 == 49) ExpectCopiesIntact(copies);
+    const auto p = static_cast<NodeId>(rng.Uniform(dag.node_count()));
+    copies.emplace_back(dag, ImageOf(dag));
+    if (rng.Bernoulli(0.6)) {
+      const auto c = static_cast<NodeId>(rng.Uniform(dag.node_count()));
+      if (dag.InsertEdge(p, c).ok()) ++edits;
+    } else if (!dag.children(p).empty()) {
+      const auto kids = dag.children(p);
+      ASSERT_TRUE(dag.EraseEdge(p, kids[rng.Uniform(kids.size())]).ok());
+      ++edits;
+    }
+  }
+  ExpectCopiesIntact(copies);
+  EXPECT_GT(edits, 200u);
 }
 
 TEST(DagMutationTest, DescendantsOfIncludesStartAndFollowsChildren) {

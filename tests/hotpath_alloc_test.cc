@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
+#include "core/system.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "obs/audit_log.h"
@@ -527,6 +529,97 @@ TEST(HotPathAllocTest, ArenaSwitchReachesSteadyStateAcrossDagSizes) {
   sweep();
   sweep();
   EXPECT_EQ(AllocationCount() - before, 0u);
+}
+
+
+// Publish heap traffic (DESIGN.md §11): a publication shares every page,
+// chunk and column its edit did not write, so one edit on a
+// 2^16-subject store copies O(touched pages + affected nodes), not
+// O(subjects). Each one-op `ApplyMutations` below — a membership
+// toggle and a grant toggle, each followed by a snapshot read — must
+// allocate under 256 KiB besides the new snapshot's decision table,
+// whose capacity follows its own fill rule. Copying the per-node arrays
+// and the matrix whole costs several MiB per publication.
+TEST(HotPathAllocTest, OneOpPublishAllocatesOnlyWhatTheEditTouches) {
+  if (UCR_ALLOC_TEST_SKIP) {
+    GTEST_SKIP() << "allocation bounds are checked without sanitizers";
+  }
+
+  constexpr size_t kNodes = size_t{1} << 16;
+  constexpr size_t kLayers = 16;
+  constexpr size_t kWidth = kNodes / kLayers;
+  Random rng(94);
+  graph::ScaleLayeredDagOptions shape;
+  shape.nodes = kNodes;
+  shape.layers = kLayers;
+  auto dag = graph::GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  acm::ExplicitAcm eacm;
+  const acm::ObjectId objects[] = {eacm.InternObject("doc").value(),
+                                   eacm.InternObject("vault").value()};
+  const acm::RightId rights[] = {eacm.InternRight("read").value(),
+                                 eacm.InternRight("write").value()};
+  graph::NodeId group = graph::kInvalidNode;
+  for (graph::NodeId v = 0; v < 2 * kWidth; ++v) {
+    if (!rng.Bernoulli(v < kWidth ? 0.3 : 0.02)) continue;
+    for (const acm::ObjectId o : objects) {
+      const acm::Mode mode =
+          rng.Bernoulli(0.5) ? acm::Mode::kPositive : acm::Mode::kNegative;
+      ASSERT_TRUE(eacm.Set(v, o, rights[v % 2], mode).ok());
+    }
+    if (v >= kWidth && group == graph::kInvalidNode) group = v;
+  }
+  ASSERT_NE(group, graph::kInvalidNode);
+  AccessControlSystem system(std::move(dag).value(), std::move(eacm),
+                             SystemOptions{});
+  system.EnableSnapshotReads();
+  const graph::Dag& master = system.dag();
+  graph::NodeId leaf = kNodes - 1;
+  while (master.HasEdge(group, leaf)) --leaf;
+  // The rights toggle targets the mid-layer subject with the median
+  // descendant count: its grant relabels ~200 nodes scattered over the
+  // lower half of the id space. The cost is O(relabeled nodes) — their
+  // new labels and the slot pages they sit in — so the bound holds for
+  // a typical toggle, not for the widest subjects.
+  std::vector<std::pair<size_t, graph::NodeId>> widths;
+  for (graph::NodeId v = kLayers / 2 * kWidth; v < (kLayers / 2 + 1) * kWidth;
+       ++v) {
+    if (!system.eacm().Get(v, objects[0], rights[0]).has_value()) {
+      widths.emplace_back(master.DescendantsOf(v).size(), v);
+    }
+  }
+  const auto median = widths.begin() + std::ssize(widths) / 2;
+  std::nth_element(widths.begin(), median, widths.end());
+  const graph::NodeId mid = median->second;
+  ASSERT_GT(median->first, 100u);
+
+  using Op = AccessControlSystem::MutationOp;
+  const Op ops[] = {
+      Op::AddMember(master.name(group), master.name(leaf)),
+      Op::RemoveMember(master.name(group), master.name(leaf)),
+      Op::Grant(master.name(mid), "doc", "read"),
+      Op::Revoke(master.name(mid), "doc", "read"),
+  };
+  const auto cycle = [&](bool measure) {
+    for (const Op& op : ops) {
+      const uint64_t before = AllocatedBytes();
+      ASSERT_TRUE(system.ApplyMutations(std::span<const Op>(&op, 1)).ok());
+      ASSERT_TRUE(
+          system.CheckAccessSnapshot(leaf, objects[0], rights[0]).ok());
+      const uint64_t bytes = AllocatedBytes() - before;
+      if (!measure) continue;
+      const size_t capacity = system.snapshots()->Pin()->resolution.capacity();
+      const uint64_t table_before = AllocatedBytes();
+      { const EpochResolutionTable table(capacity); }
+      const uint64_t table = AllocatedBytes() - table_before;
+      EXPECT_LT(bytes - table, uint64_t{256} << 10)
+          << AccessControlSystem::MutationOpKindName(op.kind) << ": "
+          << bytes << " bytes, " << table << " of them the decision table";
+    }
+  };
+  cycle(/*measure=*/false);  // Warm-up: arenas, scratch, interned classes.
+  cycle(/*measure=*/false);
+  cycle(/*measure=*/true);
 }
 
 }  // namespace

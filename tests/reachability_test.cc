@@ -274,7 +274,18 @@ TEST(ReachabilityTest, IncrementalRebuildMatchesFullBuildUnderChurn) {
     const auto fresh = ReachabilityIndex::Build(dag, epoch, RowsOf(rows));
     ASSERT_TRUE(fresh->ready());
     ExpectIndexesEquivalent(dag, incremental, *fresh);
-    EXPECT_EQ(stats.label_entries, fresh->stats().label_entries);
+    // The incrementally kept counters match a from-scratch count (pool
+    // layout — bytes and pool count — legitimately differs).
+    const ReachabilityIndex::IndexStats fresh_stats = fresh->stats();
+    EXPECT_EQ(stats.ready, fresh_stats.ready);
+    EXPECT_EQ(stats.supernodes, fresh_stats.supernodes);
+    EXPECT_EQ(stats.folded_nodes, fresh_stats.folded_nodes);
+    EXPECT_EQ(stats.label_entries, fresh_stats.label_entries);
+    size_t folded = 0;
+    for (NodeId v = 0; v < dag.node_count(); ++v) {
+      folded += incremental.class_of(v) == ReachabilityIndex::kInteriorClass;
+    }
+    EXPECT_EQ(stats.folded_nodes, folded);
     ASSERT_EQ(incremental.dag_generation(), dag.generation());
     // Boolean reachability is built on demand from the same graph.
     ExpectReachesMatchesOracle(dag, ReachQuery(dag));

@@ -15,10 +15,14 @@
 
 #include "acm/acm.h"
 #include "core/paper_example.h"
+#include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/dag.h"
+#include "graph/generators.h"
+#include "graph/reachability.h"
+#include "util/random.h"
 
 namespace ucr::core {
 namespace {
@@ -315,6 +319,157 @@ TEST(SnapshotSystemTest, PinnedSnapshotNeverSeesSubjectCreatedAfterIt) {
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(master.ok());
   EXPECT_EQ(*fresh, *master);
+}
+
+
+/// Copy-on-write sharing (DESIGN.md §11): a snapshot shares the
+/// writer's graph pages and adjacency chunks, matrix columns and index
+/// slot pages. All four ring epochs stay pinned — nothing can be
+/// retired — while the writer runs hundreds of edits on exactly the
+/// pages and columns they share and readers keep querying them. Each
+/// pinned epoch must keep answering as the classic oracle did when it
+/// was published; under tsan a write to a shared page is also a race.
+TEST(SnapshotSharingTest, PinnedEpochsKeepAnsweringWhileWriterEditsShared) {
+  Random rng(20261017);
+  graph::ScaleLayeredDagOptions shape;
+  shape.nodes = 2048;  // Several pages per per-node array.
+  shape.layers = 4;
+  shape.parents_per_node = 2;
+  auto built = graph::GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(built.ok());
+  graph::Dag dag = std::move(built).value();
+  acm::ExplicitAcm eacm;
+  const acm::RightId right = eacm.InternRight("read").value();
+  const acm::ObjectId objects[] = {eacm.InternObject("a").value(),
+                                   eacm.InternObject("b").value()};
+  const graph::NodeId groups_end = 2 * 2048 / 4;  // Top two layers.
+  for (graph::NodeId v = 0; v < groups_end; ++v) {
+    if (rng.Bernoulli(0.1)) {
+      ASSERT_TRUE(eacm.Set(v, objects[v % 2], right,
+                           rng.Bernoulli(0.5) ? Mode::kPositive
+                                              : Mode::kNegative)
+                      .ok());
+    }
+  }
+  const Strategy strategy = ParseStrategy("D+LP-").value();
+  std::shared_ptr<const graph::ReachabilityIndex> index =
+      graph::ReachabilityIndex::Build(dag, eacm.epoch(), eacm.ReachRows());
+  ASSERT_TRUE(index->ready());
+
+  // A few groups and leaves, so the edits keep hitting the same pages,
+  // chunks and columns; the queries cover the leaves and a sink sample.
+  const graph::NodeId leaves_begin = 3 * 2048 / 4;
+  std::vector<graph::NodeId> edit_groups;
+  std::vector<graph::NodeId> edit_leaves;
+  for (int i = 0; i < 4; ++i) {
+    edit_groups.push_back(static_cast<graph::NodeId>(rng.Uniform(groups_end)));
+    edit_leaves.push_back(leaves_begin +
+                          static_cast<graph::NodeId>(rng.Uniform(512)));
+  }
+  std::vector<graph::NodeId> subjects = edit_leaves;
+  for (graph::NodeId v = leaves_begin; v < 2048; v += 16) {
+    subjects.push_back(v);
+  }
+
+  uint64_t edits = 0;
+  const auto edit = [&] {
+    const uint64_t i = edits++;
+    const graph::NodeId group = edit_groups[i % edit_groups.size()];
+    std::vector<graph::NodeId> affected;
+    std::vector<graph::ReachLabeledRow> rows;
+    if (i % 2 == 0) {
+      const graph::NodeId leaf = edit_leaves[(i / 2) % edit_leaves.size()];
+      const Status s = dag.HasEdge(group, leaf)
+                           ? dag.EraseEdge(group, leaf, &affected)
+                           : dag.InsertEdge(group, leaf, &affected);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    } else {
+      const acm::ObjectId object = objects[(i / 2) % 2];
+      if (!eacm.Erase(group, object, right)) {
+        eacm.Overwrite(group, object, right,
+                       i % 3 == 0 ? Mode::kNegative : Mode::kPositive);
+      }
+      affected = dag.DescendantsOf(group);
+      rows = eacm.ReachRowsFor(std::span<const graph::NodeId>(&group, 1));
+    }
+    index = graph::ReachabilityIndex::RebuildIncremental(
+        dag, eacm.epoch(), index, affected, rows);
+  };
+  const auto oracle = [&] {
+    ResolveAccessOptions classic;
+    classic.use_fast_path = false;
+    classic.use_reachability_index = false;
+    std::vector<Mode> answers;
+    for (const graph::NodeId s : subjects) {
+      for (const acm::ObjectId o : objects) {
+        const auto mode = ResolveAccess(dag, eacm, s, o, right, strategy,
+                                        classic);
+        EXPECT_TRUE(mode.ok());
+        answers.push_back(mode.ok() ? *mode : Mode::kNegative);
+      }
+    }
+    return answers;
+  };
+
+  SnapshotManager manager;
+  std::vector<SnapshotManager::ReadPin> pins;
+  std::vector<std::vector<Mode>> expected;
+  for (uint64_t epoch = 1; epoch <= SnapshotManager::kEpochSlots; ++epoch) {
+    for (int k = 0; k < 3; ++k) edit();
+    const SnapshotManager::ReadPin previous = manager.Pin();
+    manager.Publish(BuildSnapshot(dag, eacm, strategy, PropagationMode::kBoth,
+                                  epoch, previous.get(), 1 << 10, index));
+    pins.push_back(manager.Pin());
+    ASSERT_EQ(pins.back()->epoch, epoch);
+    ASSERT_EQ(pins.back()->reach_index, index);
+    expected.push_back(oracle());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> mismatches{0};
+  // Both the served answer (indexed) and the classic oracle over the
+  // snapshot's own graph and matrix copies, so a shared page, chunk or
+  // column the writer wrote in place shows whichever path reads it.
+  const auto check = [&](size_t p) {
+    const HierarchySnapshot& snapshot = *pins[p];
+    ResolveAccessOptions classic;
+    classic.use_fast_path = false;
+    classic.use_reachability_index = false;
+    size_t q = 0;
+    for (const graph::NodeId s : subjects) {
+      for (const acm::ObjectId o : objects) {
+        const auto served = SnapshotResolveAccess(snapshot, s, o, right,
+                                                  strategy);
+        const auto copied = ResolveAccess(snapshot.dag, snapshot.eacm, s, o,
+                                          right, strategy, classic);
+        if (!served.ok() || *served != expected[p][q] || !copied.ok() ||
+            *copied != expected[p][q]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        ++q;
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t round = t; !stop.load(std::memory_order_relaxed); ++round) {
+        check(round % pins.size());
+      }
+    });
+  }
+  while (edits < 4 * 3 + 500) edit();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(manager.retired_total(), 0u);
+  EXPECT_EQ(manager.current_epoch(), SnapshotManager::kEpochSlots);
+  for (size_t p = 0; p < pins.size(); ++p) check(p);
+  EXPECT_EQ(mismatches.load(), 0u);
+  // The edits did change answers the pinned epochs must not see.
+  const std::vector<Mode> now = oracle();
+  size_t stale = 0;
+  for (const std::vector<Mode>& answers : expected) stale += answers != now;
+  EXPECT_GT(stale, 0u);
 }
 
 }  // namespace
