@@ -20,6 +20,16 @@
 //   reach_query  graph::ReachQuery built on demand (build_ms, two_hop)
 //                and Reaches(root, sink) latency; boolean reachability
 //                is not part of the index or its write path
+//   wide_grant   one row per fourth layer: toggling a grant on one of
+//                its widest subjects relabels all its descendants
+//                (RebuildIncremental; p50/max over two grants and two
+//                revokes, with the descendant count; build_ms repeats
+//                the full build for scale)
+//   new_subject  a new hire while an older generation (Dag copy and
+//                index) is held, as a published snapshot holds them:
+//                EnsureNode + InsertEdge + RebuildIncremental, p50/p99/
+//                max; ensure_*_ns time EnsureNode alone, whose max is
+//                a name-table fold (the delta's rebase into the base)
 //
 // The run aborts on any indexed-vs-classic decision divergence, so the
 // smoke run doubles as a correctness gate. --smoke shrinks the graph
@@ -32,6 +42,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -372,6 +384,113 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(reach.p99_ns), reach_build_ms,
       reach_query.two_hop_ready() ? "true" : "false", reached);
 
+  // -- wide_grant ----------------------------------------------------
+  // Grant, revoke, grant, revoke a fresh right on one subject of every
+  // fourth layer — the one with the most descendants among the layer's
+  // first 16 — each toggle relabeling the subject and all of them.
+  const acm::RightId audit = w.eacm.InternRight("audit").value();
+  for (size_t layer = 0; layer + 4 < kLayers; layer += 4) {
+    graph::NodeId subject = graph::kInvalidNode;
+    std::vector<graph::NodeId> below;
+    for (size_t i = 0; i < 16; ++i) {
+      const auto candidate =
+          static_cast<graph::NodeId>(layer * kNodes / kLayers + i);
+      std::vector<graph::NodeId> cone = w.dag.DescendantsOf(candidate);
+      if (cone.size() > below.size()) {
+        subject = candidate;
+        below = std::move(cone);
+      }
+    }
+    std::sort(below.begin(), below.end());
+    latencies.clear();
+    for (int toggle = 0; toggle < 4; ++toggle) {
+      if (toggle % 2 == 0) {
+        if (!w.eacm.Set(subject, w.object, audit, acm::Mode::kPositive)
+                 .ok()) {
+          std::abort();
+        }
+      } else if (!w.eacm.Erase(subject, w.object, audit)) {
+        std::abort();
+      }
+      const uint64_t t0 = obs::NowNs();
+      index = graph::ReachabilityIndex::RebuildIncremental(
+          w.dag, w.eacm.epoch(), index, below,
+          w.eacm.ReachRowsFor(std::span<const graph::NodeId>(&subject, 1)));
+      latencies.push_back(obs::NowNs() - t0);
+      if (!index->ready()) {
+        std::cerr << "FATAL: wide grant tripped a budget\n";
+        std::abort();
+      }
+    }
+    const uint64_t max_ns =
+        *std::max_element(latencies.begin(), latencies.end());
+    const SectionResult grant = Summarize(latencies);
+    std::printf(
+        "JSON {\"bench\":\"reach_scale\",\"section\":\"wide_grant\","
+        "\"nodes\":%zu,\"layer\":%zu,\"descendants\":%zu,\"queries\":%llu,"
+        "\"millis\":%.3f,\"p50_ns\":%llu,\"max_ns\":%llu,"
+        "\"build_ms\":%.3f}\n",
+        kNodes, layer, below.size(),
+        static_cast<unsigned long long>(grant.count), grant.millis,
+        static_cast<unsigned long long>(grant.p50_ns),
+        static_cast<unsigned long long>(max_ns), build_ms);
+  }
+  for (size_t i = 0; i < kVerifyQueries; ++i) {
+    const graph::NodeId s = subjects[i];
+    if (MustResolve(w, s, strategy, indexed_options, index.get()) !=
+        MustResolve(w, s, strategy, classic_options, nullptr)) {
+      std::cerr << "FATAL: post-grant indexed/classic divergence on "
+                << "subject " << s << "\n";
+      std::abort();
+    }
+  }
+
+  // -- new_subject ---------------------------------------------------
+  // Each hire joins a random group of the second-to-last layer while
+  // the previous generation is still held, so every creation writes to
+  // shared name, page and chunk state.
+  const size_t kHires = smoke ? 2048 : 4096;
+  const size_t hire_parent_lo = (kLayers - 2) * kNodes / kLayers;
+  latencies.clear();
+  std::vector<uint64_t> ensure_ns;
+  ensure_ns.reserve(kHires);
+  for (size_t i = 0; i < kHires; ++i) {
+    const graph::Dag held_dag = w.dag;
+    const std::shared_ptr<const graph::ReachabilityIndex> held_index = index;
+    const auto parent = static_cast<graph::NodeId>(
+        hire_parent_lo + rng.Uniform(last_layer_begin - hire_parent_lo));
+    const std::string name = "hire-" + std::to_string(i);
+    const uint64_t t0 = obs::NowNs();
+    const graph::NodeId hire = w.dag.EnsureNode(name);
+    const uint64_t t1 = obs::NowNs();
+    std::vector<graph::NodeId> affected;
+    if (!w.dag.InsertEdge(parent, hire, &affected).ok()) std::abort();
+    index = graph::ReachabilityIndex::RebuildIncremental(
+        w.dag, w.eacm.epoch(), index, affected, {});
+    latencies.push_back(obs::NowNs() - t0);
+    ensure_ns.push_back(t1 - t0);
+    if (!index->ready() || held_dag.FindNode(name) != graph::kInvalidNode) {
+      std::cerr << "FATAL: new subject leaked into a held generation\n";
+      std::abort();
+    }
+  }
+  const uint64_t hire_max_ns =
+      *std::max_element(latencies.begin(), latencies.end());
+  const uint64_t ensure_max_ns =
+      *std::max_element(ensure_ns.begin(), ensure_ns.end());
+  const SectionResult hires = Summarize(latencies);
+  std::printf(
+      "JSON {\"bench\":\"reach_scale\",\"section\":\"new_subject\","
+      "\"nodes\":%zu,\"queries\":%llu,\"millis\":%.3f,\"p50_ns\":%llu,"
+      "\"p99_ns\":%llu,\"max_ns\":%llu,\"ensure_p50_ns\":%llu,"
+      "\"ensure_max_ns\":%llu}\n",
+      kNodes, static_cast<unsigned long long>(hires.count), hires.millis,
+      static_cast<unsigned long long>(hires.p50_ns),
+      static_cast<unsigned long long>(hires.p99_ns),
+      static_cast<unsigned long long>(hire_max_ns),
+      static_cast<unsigned long long>(Percentile(ensure_ns, 0.50)),
+      static_cast<unsigned long long>(ensure_max_ns));
+
   TablePrinter table({"section", "count", "total ms", "p50 us", "p99 us"});
   auto add_row = [&](const char* name, const SectionResult& r) {
     table.AddRow({name, std::to_string(r.count),
@@ -384,6 +503,7 @@ int main(int argc, char** argv) {
   add_row("incremental", incremental);
   add_row("indexed_after", indexed_after);
   add_row("reach_query", reach);
+  add_row("new_subject", hires);
   std::cout << "\n" << table.ToString() << "\n";
 
   bench_obs::EmitMetricsSnapshot("reach_scale");

@@ -1,9 +1,10 @@
 // Read-path churn: reader latency under concurrent mutation, epoch
 // snapshots vs a lock-guarded classic baseline (DESIGN.md §11).
 //
-// One writer thread applies continuous ApplyMutations batches
-// (membership toggles + grant/revoke churn, each batch publishing a
-// fresh snapshot) while N reader threads resolve a hot query stream.
+// One writer thread applies ApplyMutations batches, one per
+// millisecond (membership toggles + grant/revoke churn, each batch
+// publishing a fresh snapshot) while N reader threads resolve a hot
+// query stream.
 // Four sections:
 //
 //   snapshot_idle    readers on CheckAccessSnapshot, writer quiet
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,6 +133,10 @@ uint64_t Percentile(std::vector<uint64_t>& latencies, double p) {
   return latencies[idx];
 }
 
+/// Pause between two churn batches: both churn sections face the same
+/// writer, at most ~1k batches per second.
+constexpr std::chrono::microseconds kWriterPause{1000};
+
 /// Runs one section: `threads` readers sweep `queries` (each recording
 /// per-query latency), optionally against a churning writer. In locked
 /// mode every query serializes on `mu` through the instrumented lock
@@ -197,7 +203,10 @@ SectionResult RunSection(core::AccessControlSystem& system,
         edge_present = !edge_present;
         entry_present = !entry_present;
         mutations.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
+        // Paced: an unpaced writer re-takes the classic lock as soon as
+        // it drops it, so locked_churn measured how long readers starve
+        // behind it rather than the lock-guarded baseline itself.
+        std::this_thread::sleep_for(kWriterPause);
       }
     });
   }
@@ -347,7 +356,8 @@ int main(int argc, char** argv) {
             << " subjects, " << system.eacm().size()
             << " explicit authorizations; " << threads << " readers x "
             << kQueries << " queries per section, writer churning "
-            << "membership + rights batches"
+            << "membership + rights batches every " << kWriterPause.count()
+            << " us"
             << (smoke ? " (smoke)" : "") << "\n\n";
 
   // Snapshot sections first (cold start is the snapshot path's own),

@@ -1,11 +1,47 @@
 #include "graph/dag.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <cmath>
+
+#include "util/string_util.h"
 
 namespace ucr::graph {
 
 namespace {
+
+/// Names a delta table may hold before `EnsureNode` folds it into a new
+/// base: at least this many, and at least sqrt(base size), so a fold's
+/// O(base) copy is spread over O(sqrt(base)) creations and each
+/// creation's delta clone stays O(sqrt(base)) too.
+constexpr size_t kMinNameDelta = 64;
+
+size_t NameDeltaBound(size_t base) {
+  return std::max(kMinNameDelta,
+                  static_cast<size_t>(std::sqrt(static_cast<double>(base))));
+}
+
+/// Kahn's algorithm with a FIFO queue over `n` nodes: `parents_of(v)`
+/// and `children_of(v)` give the adjacency. The output vector is the
+/// queue, so the order is exactly the `std::deque` FIFO's. Shorter
+/// than `n` iff the graph has a cycle.
+template <typename Parents, typename Children>
+std::vector<NodeId> KahnOrder(size_t n, Parents parents_of,
+                              Children children_of) {
+  std::vector<uint32_t> indegree(n);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    indegree[v] = static_cast<uint32_t>(parents_of(v).size());
+    if (indegree[v] == 0) order.push_back(v);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (const NodeId c : children_of(order[head])) {
+      if (--indegree[c] == 0) order.push_back(c);
+    }
+  }
+  return order;
+}
 
 /// Visited marks for `DescendantsOf`, reused across calls (and graphs):
 /// a mark is current iff it equals `epoch`, so a call costs its output,
@@ -22,10 +58,85 @@ struct DescendantScratch {
 
 }  // namespace
 
+uint32_t Dag::NameTable::Tag(std::string_view name) {
+  const uint64_t h = StringHash{}(name);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+NodeId Dag::NameTable::Find(std::string_view name, uint32_t tag) const {
+  if (slots_.empty()) return kInvalidNode;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.pos == kInvalidNode) return kInvalidNode;
+    if (slot.tag == tag && names_[slot.pos] == name) return slot.pos;
+  }
+}
+
+void Dag::NameTable::Reserve(size_t n) {
+  if (2 * n <= slots_.size()) return;
+  const std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::bit_ceil(std::max<size_t>(16, 2 * n)), Slot{});
+  for (const Slot& slot : old) {
+    if (slot.pos != kInvalidNode) Place(slot.tag, slot.pos);
+  }
+}
+
+void Dag::NameTable::Place(uint32_t tag, NodeId pos) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = tag & mask;
+  while (slots_[i].pos != kInvalidNode) i = (i + 1) & mask;
+  slots_[i] = Slot{tag, pos};
+}
+
+void Dag::NameTable::Append(std::string name, uint32_t tag) {
+  Reserve(names_.size() + 1);
+  Place(tag, static_cast<NodeId>(names_.size()));
+  names_.push_back(std::move(name));
+}
+
+bool Dag::NameTable::Assign(std::vector<std::string> names) {
+  names_ = std::move(names);
+  slots_.clear();
+  Reserve(names_.size());
+  for (size_t pos = 0; pos < names_.size(); ++pos) {
+    const uint32_t tag = Tag(names_[pos]);
+    if (Find(names_[pos], tag) != kInvalidNode) return false;
+    Place(tag, static_cast<NodeId>(pos));
+  }
+  return true;
+}
+
+Dag::NameTable::NameTable(const NameTable& base, const NameTable& delta) {
+  const size_t total = base.size() + delta.size();
+  names_.reserve(total);
+  names_ = base.names_;
+  names_.insert(names_.end(), delta.names_.begin(), delta.names_.end());
+  if (2 * total <= base.slots_.size()) {
+    slots_ = base.slots_;
+  } else {
+    Reserve(total);
+    PlaceAll(base, 0);
+  }
+  PlaceAll(delta, static_cast<NodeId>(base.size()));
+}
+
+void Dag::NameTable::PlaceAll(const NameTable& other, NodeId first) {
+  for (const Slot& slot : other.slots_) {
+    if (slot.pos != kInvalidNode) Place(slot.tag, first + slot.pos);
+  }
+}
+
 NodeId Dag::FindNode(std::string_view node_name) const {
   if (names_ == nullptr) return kInvalidNode;
-  const auto it = names_->ids.find(node_name);
-  return it == names_->ids.end() ? kInvalidNode : it->second;
+  const uint32_t tag = NameTable::Tag(node_name);
+  if (const NodeId id = names_->Find(node_name, tag); id != kInvalidNode) {
+    return id;
+  }
+  if (new_names_ == nullptr) return kInvalidNode;
+  const NodeId pos = new_names_->Find(node_name, tag);
+  return pos == kInvalidNode ? kInvalidNode
+                             : static_cast<NodeId>(names_->size() + pos);
 }
 
 std::vector<NodeId> Dag::Roots() const {
@@ -50,27 +161,11 @@ bool Dag::HasEdge(NodeId parent, NodeId child) const {
 }
 
 std::vector<NodeId> Dag::TopologicalOrder() const {
-  // Kahn's algorithm with a FIFO queue: deterministic order given the
-  // deterministic id assignment of DagBuilder.
-  std::vector<size_t> indegree(node_count());
-  for (NodeId v = 0; v < node_count(); ++v) {
-    indegree[v] = parents(v).size();
-  }
-  std::deque<NodeId> ready;
-  for (NodeId v = 0; v < node_count(); ++v) {
-    if (indegree[v] == 0) ready.push_back(v);
-  }
-  std::vector<NodeId> order;
-  order.reserve(node_count());
-  while (!ready.empty()) {
-    NodeId v = ready.front();
-    ready.pop_front();
-    order.push_back(v);
-    for (NodeId c : children(v)) {
-      if (--indegree[c] == 0) ready.push_back(c);
-    }
-  }
-  return order;  // Complete by construction: Dag is acyclic.
+  // Deterministic given the deterministic id assignment of DagBuilder.
+  // Complete by construction: Dag is acyclic.
+  return KahnOrder(
+      node_count(), [this](NodeId v) { return parents(v); },
+      [this](NodeId v) { return children(v); });
 }
 
 std::vector<NodeId> Dag::DescendantsOf(NodeId start) const {
@@ -132,34 +227,51 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
   // no duplicates or self-loops; a file that breaks the mirror would
   // desynchronize every traversal that mixes directions (Kahn's
   // indegrees vs child expansion, ancestor vs descendant sweeps).
-  std::vector<uint64_t> down;
-  std::vector<uint64_t> up;
-  down.reserve(children.size());
-  up.reserve(parents.size());
   for (size_t v = 0; v < n; ++v) {
     for (size_t i = child_offsets[v]; i < child_offsets[v + 1]; ++i) {
       if (children[i] == v) return corrupt("self-loop");
-      down.push_back((static_cast<uint64_t>(v) << 32) | children[i]);
-    }
-    for (size_t i = parent_offsets[v]; i < parent_offsets[v + 1]; ++i) {
-      up.push_back((static_cast<uint64_t>(parents[i]) << 32) | v);
     }
   }
-  std::sort(down.begin(), down.end());
-  std::sort(up.begin(), up.end());
-  if (down != up) return corrupt("child/parent adjacency mismatch");
-  if (std::adjacent_find(down.begin(), down.end()) != down.end()) {
-    return corrupt("duplicate edge");
+  // Transpose the child lists by counting: claimed[claimed_offsets[c],
+  // claimed_offsets[c + 1]) lists, ascending, every node that names c
+  // as a child. The edge multisets agree iff each such list equals the
+  // sorted parent list of c; a duplicate edge is then an adjacent
+  // repeat in one list.
+  std::vector<size_t> claimed_offsets(n + 1, 0);
+  for (const NodeId c : children) ++claimed_offsets[c + 1];
+  for (size_t v = 0; v < n; ++v) claimed_offsets[v + 1] += claimed_offsets[v];
+  std::vector<NodeId> claimed(children.size());
+  {
+    std::vector<size_t> cursor(claimed_offsets.begin(),
+                               claimed_offsets.end() - 1);
+    for (size_t v = 0; v < n; ++v) {
+      for (size_t i = child_offsets[v]; i < child_offsets[v + 1]; ++i) {
+        claimed[cursor[children[i]]++] = static_cast<NodeId>(v);
+      }
+    }
   }
+  bool duplicate = false;
+  std::vector<NodeId> listed;
+  for (size_t v = 0; v < n; ++v) {
+    const auto first = claimed.begin() +
+                       static_cast<ptrdiff_t>(claimed_offsets[v]);
+    const auto last = claimed.begin() +
+                      static_cast<ptrdiff_t>(claimed_offsets[v + 1]);
+    listed.assign(
+        parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v]),
+        parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v + 1]));
+    std::sort(listed.begin(), listed.end());
+    if (!std::equal(first, last, listed.begin(), listed.end())) {
+      return corrupt("child/parent adjacency mismatch");
+    }
+    duplicate = duplicate || std::adjacent_find(first, last) != last;
+  }
+  if (duplicate) return corrupt("duplicate edge");
 
   auto table = std::make_shared<NameTable>();
-  table->ids.reserve(n);
-  for (size_t v = 0; v < n; ++v) {
-    if (!table->ids.try_emplace(names[v], static_cast<NodeId>(v)).second) {
-      return corrupt("duplicate node name");
-    }
+  if (!table->Assign(std::move(names))) {
+    return corrupt("duplicate node name");
   }
-  table->names = std::move(names);
 
   Dag dag;
   dag.edge_count_ = children.size();
@@ -168,9 +280,17 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
   dag.parents_ = Adjacency::FromOffsets(parent_offsets, parents);
   dag.node_generations_.assign(n, 0);
 
-  // Acyclicity last, on the assembled graph: Kahn's completes iff the
-  // edge set has no cycle.
-  if (dag.TopologicalOrder().size() != n) {
+  // Acyclicity last: Kahn's completes iff the edge set has no cycle.
+  // It runs on the flat input arrays, which the validated graph mirrors.
+  const auto range = [](const std::vector<size_t>& offsets,
+                        const std::vector<NodeId>& ids) {
+    return [off = offsets.data(), at = ids.data()](NodeId v) {
+      return std::span<const NodeId>(at + off[v], off[v + 1] - off[v]);
+    };
+  };
+  if (KahnOrder(n, range(parent_offsets, parents),
+                range(child_offsets, children))
+          .size() != n) {
     return Status::Corruption("CSR graph: contains a cycle");
   }
   return dag;
@@ -268,19 +388,25 @@ void Dag::StampNodes(const std::vector<NodeId>& nodes) {
 
 NodeId Dag::EnsureNode(std::string_view name) {
   if (const NodeId id = FindNode(name); id != kInvalidNode) return id;
-  // Copy-on-write: a table still shared with another copy (a published
-  // snapshot's) is cloned so that copy never sees the new name. A sole
-  // owner appends in place; like every mutation this assumes readers
-  // of released copies were quiesced first (the epoch writer retires
-  // snapshots on its own thread).
-  if (names_ == nullptr) {
-    names_ = std::make_shared<NameTable>();
-  } else if (names_.use_count() > 1) {
-    names_ = std::make_shared<NameTable>(*names_);
+  // Copy-on-write: a delta still shared with another copy (a published
+  // snapshot's) is cloned so that copy never sees the new name; the
+  // base is never written while shared. A sole owner appends in place;
+  // like every mutation this assumes readers of released copies were
+  // quiesced first (the epoch writer retires snapshots on its own
+  // thread).
+  if (names_ == nullptr) names_ = std::make_shared<NameTable>();
+  if (new_names_ == nullptr) {
+    new_names_ = std::make_shared<NameTable>();
+  } else if (new_names_.use_count() > 1) {
+    new_names_ = std::make_shared<NameTable>(*new_names_);
   }
   const auto id = static_cast<NodeId>(node_count());
-  names_->names.emplace_back(name);
-  names_->ids.emplace(names_->names.back(), id);
+  new_names_->Append(std::string(name), NameTable::Tag(name));
+  if (new_names_->size() > NameDeltaBound(names_->size())) {
+    // Fold into a new base; copies still holding the old one keep it.
+    names_ = std::make_shared<NameTable>(*names_, *new_names_);
+    new_names_.reset();
+  }
   children_.AddNode();
   parents_.AddNode();
   // A fresh node's (empty) ancestor set is itself new derived state:
@@ -346,14 +472,14 @@ Status Dag::EraseEdge(NodeId parent, NodeId child,
 }
 
 NodeId DagBuilder::AddNode(std::string_view name) {
-  auto [it, inserted] = name_to_id_.try_emplace(
-      std::string(name), static_cast<NodeId>(names_.size()));
-  if (inserted) {
-    names_.emplace_back(name);
-    adj_children_.emplace_back();
-    adj_parents_.emplace_back();
+  const uint32_t tag = Dag::NameTable::Tag(name);
+  if (const NodeId id = names_.Find(name, tag); id != kInvalidNode) {
+    return id;
   }
-  return it->second;
+  names_.Append(std::string(name), tag);
+  adj_children_.emplace_back();
+  adj_parents_.emplace_back();
+  return static_cast<NodeId>(names_.size() - 1);
 }
 
 Status DagBuilder::AddEdge(std::string_view parent, std::string_view child) {
@@ -382,24 +508,14 @@ Status DagBuilder::AddEdgeById(NodeId parent, NodeId child) {
 }
 
 StatusOr<Dag> DagBuilder::Build() && {
-  // Cycle check via Kahn's algorithm on the adjacency lists.
   const size_t n = names_.size();
-  std::vector<size_t> indegree(n);
-  for (size_t v = 0; v < n; ++v) indegree[v] = adj_parents_[v].size();
-  std::deque<NodeId> ready;
-  for (size_t v = 0; v < n; ++v) {
-    if (indegree[v] == 0) ready.push_back(static_cast<NodeId>(v));
-  }
-  size_t visited = 0;
-  while (!ready.empty()) {
-    NodeId v = ready.front();
-    ready.pop_front();
-    ++visited;
-    for (NodeId c : adj_children_[v]) {
-      if (--indegree[c] == 0) ready.push_back(c);
-    }
-  }
-  if (visited != n) {
+  const auto lists_of = [](const std::vector<std::vector<NodeId>>& lists) {
+    return [all = &lists](NodeId v) {
+      return std::span<const NodeId>((*all)[v]);
+    };
+  };
+  if (KahnOrder(n, lists_of(adj_parents_), lists_of(adj_children_))
+          .size() != n) {
     return Status::InvalidArgument(
         "graph contains a cycle; subject hierarchies must be acyclic");
   }
@@ -418,8 +534,7 @@ StatusOr<Dag> DagBuilder::Build() && {
   Dag dag;
   dag.edge_count_ = edge_count_;
   dag.node_generations_.assign(n, 0);
-  dag.names_ = std::make_shared<Dag::NameTable>(
-      Dag::NameTable{std::move(names_), std::move(name_to_id_)});
+  dag.names_ = std::make_shared<Dag::NameTable>(std::move(names_));
   dag.children_ = flatten(adj_children_);
   dag.parents_ = flatten(adj_parents_);
   return dag;

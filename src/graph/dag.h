@@ -10,7 +10,6 @@
 
 #include "util/paged_array.h"
 #include "util/status.h"
-#include "util/string_util.h"
 
 namespace ucr::graph {
 
@@ -37,9 +36,11 @@ inline constexpr NodeId kInvalidNode = UINT32_MAX;
 /// `AccessControlSystem` does).
 ///
 /// Copies share everything an edit does not write (DESIGN.md §11):
-/// the name table sits behind one reference-counted pointer and is
-/// cloned only when `EnsureNode` appends a name while another copy
-/// still holds it; the per-node arrays are `PagedArray`s and the
+/// the names are a read-only *base* table, shared by every copy, plus a
+/// small *delta* of the names created since, cloned only when
+/// `EnsureNode` appends to it while another copy still holds it and
+/// folded into a new base once it outgrows ~sqrt(base); the per-node
+/// arrays are `PagedArray`s and the
 /// adjacency pools lists of shared chunks, cloned a page or chunk at a
 /// time on first write. A published snapshot's copy therefore costs
 /// O(directories + chunks) references, and the next edit O(touched
@@ -79,7 +80,10 @@ class Dag {
   }
 
   /// Name of node `id`. Requires `id < node_count()`.
-  const std::string& name(NodeId id) const { return names_->names[id]; }
+  const std::string& name(NodeId id) const {
+    const size_t base = names_->size();
+    return id < base ? (*names_)[id] : (*new_names_)[id - base];
+  }
 
   /// Id for `name`, or `kInvalidNode` if absent.
   NodeId FindNode(std::string_view node_name) const;
@@ -123,8 +127,10 @@ class Dag {
 
   /// Returns the id of `name`, appending a new isolated node (a root
   /// and sink, stamped with a fresh generation) if absent. Copies of
-  /// this graph taken earlier never see the new name: a name table
-  /// still shared with one is cloned before the append.
+  /// this graph taken earlier never see the new name: a delta table
+  /// still shared with one is cloned before the append, and a fold
+  /// builds a new base, leaving the old one to its holders. O(sqrt(n))
+  /// amortized.
   NodeId EnsureNode(std::string_view name);
 
   /// \brief Adds edge `parent -> child` in place. Fails on self-loops,
@@ -164,7 +170,9 @@ class Dag {
   /// (same edge multiset, no duplicates, no self-loops), unique node
   /// names, and acyclicity. Any violation is a clean `kCorruption`;
   /// a returned graph upholds every `Dag` invariant. Generations are
-  /// zeroed, exactly like a `DagBuilder`-built graph.
+  /// zeroed, exactly like a `DagBuilder`-built graph. Validation is
+  /// O(V + E) flat passes: the child lists are transposed by counting
+  /// and compared with sorted copies of the parent lists.
   static StatusOr<Dag> FromCsr(std::vector<std::string> names,
                                std::vector<size_t> child_offsets,
                                std::vector<NodeId> children,
@@ -174,11 +182,44 @@ class Dag {
  private:
   friend class DagBuilder;
 
-  /// Node names in id order plus the reverse index. Shared between
-  /// copies; written only through a unique owner (`EnsureNode`).
-  struct NameTable {
-    std::vector<std::string> names;
-    StringMap<NodeId> ids;
+  /// Names in position order plus a flat open-addressed index over
+  /// them: a slot holds a 32-bit hash tag and a position, so a lookup
+  /// is one probe run plus (on a tag match) one name compare, and the
+  /// index regrows from the stored tags without rehashing a name.
+  class NameTable {
+   public:
+    NameTable() = default;
+    /// `base`'s names followed by `delta`'s, indexed from both tables'
+    /// stored tags: no name is rehashed and each slot is written once.
+    NameTable(const NameTable& base, const NameTable& delta);
+
+    /// The tag `Find`/`Append` expect for `name`.
+    static uint32_t Tag(std::string_view name);
+
+    size_t size() const { return names_.size(); }
+    const std::string& operator[](size_t pos) const { return names_[pos]; }
+
+    /// Position of `name` (whose tag is `tag`), or `kInvalidNode`.
+    NodeId Find(std::string_view name, uint32_t tag) const;
+    /// Appends `name`, which must be absent.
+    void Append(std::string name, uint32_t tag);
+    /// Adopts `names` as positions [0, n) of an empty table; false if
+    /// a name repeats.
+    bool Assign(std::vector<std::string> names);
+
+   private:
+    struct Slot {
+      uint32_t tag = 0;
+      NodeId pos = kInvalidNode;  ///< kInvalidNode: empty.
+    };
+    /// Makes room for `n` names at most half load.
+    void Reserve(size_t n);
+    void Place(uint32_t tag, NodeId pos);
+    /// Places `other`'s slots with positions offset by `first`.
+    void PlaceAll(const NameTable& other, NodeId first);
+
+    std::vector<std::string> names_;
+    std::vector<Slot> slots_;  ///< Empty or a power of two.
   };
 
   /// One adjacency direction as a slack CSR over a chunked pool: node
@@ -237,8 +278,13 @@ class Dag {
   void StampNodes(const std::vector<NodeId>& nodes);
 
   size_t edge_count_ = 0;
-  /// Null until the first node exists (or after a move).
+  /// Names ids [0, base size): built by `FromCsr` or `DagBuilder`, or
+  /// by a fold, and shared read-only by every copy. Null until the
+  /// first node exists (or after a move).
   std::shared_ptr<NameTable> names_;
+  /// Names created since the base (ids from base size on); null when
+  /// none. Cloned by `EnsureNode` while another copy shares it.
+  std::shared_ptr<NameTable> new_names_;
   Adjacency children_;
   Adjacency parents_;
   uint64_t generation_ = 0;
@@ -286,8 +332,7 @@ class DagBuilder {
   StatusOr<Dag> Build() &&;
 
  private:
-  std::vector<std::string> names_;
-  StringMap<NodeId> name_to_id_;
+  Dag::NameTable names_;
   std::vector<std::vector<NodeId>> adj_children_;
   std::vector<std::vector<NodeId>> adj_parents_;
   size_t edge_count_ = 0;

@@ -1,10 +1,13 @@
 #include "graph/reachability.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <optional>
 #include <span>
 
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace ucr::graph {
 
@@ -46,6 +49,16 @@ ReachMetrics& Metrics() {
   static ReachMetrics* metrics = new ReachMetrics();
   return *metrics;
 }
+
+/// Levels at least this wide are labeled on a thread pool (when the
+/// host has more than one CPU); narrower ones run serially on the
+/// caller, where a hand-off to workers would cost more than it saves.
+constexpr size_t kParallelLevelWidth = 1024;
+
+/// Nodes per parallel task: each task writes its labels into one buffer
+/// of its own, copied in order into the level's pool once the level is
+/// done.
+constexpr size_t kLabelChunk = 256;
 
 uint64_t SatAdd(uint64_t a, uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
@@ -134,25 +147,93 @@ void ReachabilityIndex::Reassign(NodeId v, ClassId next) {
   nodes_.Mutable(v).cls = next;
 }
 
+void ReachabilityIndex::MergeParentLabels(const Dag& dag, NodeId v,
+                                          LabelScratch& scratch) const {
+  // L(v) = sum over parents p of shift1(L(p)) plus a (class(p), dis=1,
+  // 1) unit for each anchor parent. Entries merge by (class, distance)
+  // with saturating counts — the same per-node normalize-and-merge the
+  // propagation engines perform, so the aggregated counts are
+  // bit-identical to engine multiplicities. Each parent's run is
+  // already sorted (its label shifted by one, with the unit spliced
+  // in), so runs merge instead of re-sorting.
+  std::vector<ProfileEntry>& acc = scratch.acc;
+  std::vector<ProfileEntry>& run = scratch.run;
+  acc.clear();
+  for (const NodeId p : dag.parents(v)) {
+    const NodeSlot& parent = nodes_[p];
+    const std::span<const ProfileEntry> parent_label(parent.label,
+                                                     parent.label_len);
+    const ClassId pc = parent.cls;
+    run.clear();
+    size_t i = 0;
+    if (pc != kInteriorClass) {
+      // Every shifted entry has dis >= 2, so the (pc, 1) unit sorts
+      // before all of class pc's entries.
+      for (; i < parent_label.size() && parent_label[i].cls < pc; ++i) {
+        const ProfileEntry& e = parent_label[i];
+        run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
+      }
+      run.push_back(ProfileEntry{pc, 1, 1});
+    }
+    for (; i < parent_label.size(); ++i) {
+      const ProfileEntry& e = parent_label[i];
+      run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
+    }
+    if (acc.empty()) {
+      acc.swap(run);
+    } else {
+      MergeRuns(acc, run, scratch.merged);
+      acc.swap(scratch.merged);
+    }
+  }
+}
+
 bool ReachabilityIndex::ComputeLabels(const Dag& dag,
                                       std::span<const NodeId> affected,
-                                      const ReachabilityIndex* prev) {
+                                      const ReachabilityIndex* prev,
+                                      ThreadPool* workers) {
   const size_t n = dag.node_count();
   const size_t pool_budget = n * options_.max_mean_label_entries;
 
-  // The order to (re)compute: full topological order, or a Kahn order
-  // over the affected-induced sub-graph (affected sets are closed
-  // under descendants, so an affected node's unaffected parents keep
-  // their previous labels — shared below — and its affected parents
-  // precede it in the Kahn order).
+  // The order to (re)compute, grouped into levels by longest-path
+  // depth: a FIFO Kahn pass finishes level d before any node of level
+  // d + 1 becomes ready, so recording where each level ends suffices.
+  // The pass runs over the whole hierarchy, or over the
+  // affected-induced sub-graph (affected sets are closed under
+  // descendants, so an affected node's unaffected parents keep their
+  // previous labels — shared below — and its affected parents sit in
+  // earlier levels).
   std::vector<NodeId> order;
+  std::vector<size_t> level_ends;
+  const auto kahn = [&](auto&& expand) {
+    size_t level_end = order.size();
+    for (size_t head = 0; head < order.size(); ++head) {
+      if (head == level_end) {
+        level_ends.push_back(level_end);
+        level_end = order.size();
+      }
+      expand(order[head]);
+    }
+    if (!order.empty()) level_ends.push_back(order.size());
+  };
   auto pool = std::make_shared<LabelPool>();
+  size_t reserve = 0;  // `pool`'s first capacity.
   if (prev == nullptr) {
-    order = dag.TopologicalOrder();
     DropLabels();
+    std::vector<uint32_t> indegree(n);
+    order.reserve(n);
+    for (NodeId v = 0; v < n; ++v) {
+      indegree[v] = static_cast<uint32_t>(dag.parents(v).size());
+      if (indegree[v] == 0) order.push_back(v);
+    }
+    kahn([&](NodeId v) {
+      for (const NodeId c : dag.children(v)) {
+        if (--indegree[c] == 0) order.push_back(c);
+      }
+    });
     // One entry per node is a floor for any labeled hierarchy; the
     // doublings past it are amortized by the rebase below.
-    pool->reserve(n);
+    reserve = n;
   } else {
     // `nodes_` already holds `prev`'s views (the caller copied them
     // along with the classes).
@@ -183,78 +264,131 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
       indegree[i] = d;
       if (d == 0) order.push_back(v);
     }
-    for (size_t head = 0; head < order.size(); ++head) {
-      for (const NodeId c : dag.children(order[head])) {
+    kahn([&](NodeId v) {
+      for (const NodeId c : dag.children(v)) {
         const size_t i = position(c);
         if (i < affected.size() && --indegree[i] == 0) order.push_back(c);
       }
-    }
+    });
     live_entries_ -= superseded;  // Dead once the new labels land.
-    pool->reserve(superseded + affected.size());
+    reserve = superseded + affected.size();
   }
 
-  // Topological DP: L(v) = sum over parents p of shift1(L(p)) plus a
-  // (class(p), dis=1, 1) unit for each anchor parent. Entries merge by
-  // (class, distance) with saturating counts — the same per-node
-  // normalize-and-merge the propagation engines perform, so the
-  // aggregated counts are bit-identical to engine multiplicities.
-  // Each parent's run is already sorted (its label shifted by one,
-  // with the unit spliced in), so runs merge instead of re-sorting.
-  std::vector<ProfileEntry> acc;
-  std::vector<ProfileEntry> run;
-  std::vector<ProfileEntry> merged;
-  // Offset of each written label in `pool`, parallel to `order`: a
-  // pool reallocation re-points the labels written so far.
-  std::vector<size_t> offsets;
-  offsets.reserve(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    const NodeId v = order[k];
-    acc.clear();
-    for (const NodeId p : dag.parents(v)) {
-      const NodeSlot& parent = nodes_[p];
-      const std::span<const ProfileEntry> parent_label(parent.label,
-                                                       parent.label_len);
-      const ClassId pc = parent.cls;
-      run.clear();
-      size_t i = 0;
-      if (pc != kInteriorClass) {
-        // Every shifted entry has dis >= 2, so the (pc, 1) unit sorts
-        // before all of class pc's entries.
-        for (; i < parent_label.size() && parent_label[i].cls < pc; ++i) {
-          const ProfileEntry& e = parent_label[i];
-          run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
-        }
-        run.push_back(ProfileEntry{pc, 1, 1});
-      }
-      for (; i < parent_label.size(); ++i) {
-        const ProfileEntry& e = parent_label[i];
-        run.push_back(ProfileEntry{e.cls, e.dis + 1, e.count});
-      }
-      if (acc.empty()) {
-        acc.swap(run);
-      } else {
-        MergeRuns(acc, run, merged);
-        acc.swap(merged);
+  // Narrow levels append to `pool`. `in_pool` records each node whose
+  // label starts there, with its offset, so a reallocation can
+  // re-point the labels written so far.
+  std::vector<std::pair<NodeId, size_t>> in_pool;
+  const auto store = [&](NodeId v, std::span<const ProfileEntry> label) {
+    if (pool->size() + label.size() > pool->capacity()) {
+      pool->reserve(std::max({reserve, 2 * pool->capacity(),
+                              pool->size() + label.size()}));
+      for (const auto& [u, offset] : in_pool) {
+        nodes_.Mutable(u).label = pool->data() + offset;
       }
     }
-
-    const size_t out = acc.size();
-    if (out > options_.max_node_label_entries ||
-        live_entries_ + out > pool_budget) {
-      return false;
-    }
-    if (pool->size() + out > pool->capacity()) {
-      pool->reserve(std::max(2 * pool->capacity(), pool->size() + out));
-      for (size_t j = 0; j < k; ++j) {
-        nodes_.Mutable(order[j]).label = pool->data() + offsets[j];
-      }
-    }
-    offsets.push_back(pool->size());
+    in_pool.emplace_back(v, pool->size());
     NodeSlot& slot = nodes_.Mutable(v);
     slot.label = pool->data() + pool->size();
-    slot.label_len = static_cast<uint32_t>(out);
-    pool->insert(pool->end(), acc.begin(), acc.end());
-    live_entries_ += out;
+    slot.label_len = static_cast<uint32_t>(label.size());
+    pool->insert(pool->end(), label.begin(), label.end());
+    live_entries_ += label.size();
+  };
+
+  // Wide levels run on `workers` (a pool of DefaultThreadCount() - 1
+  // workers, started at the first wide level, when the caller passes
+  // none). Tasks only read: parents' slots and labels, all written by
+  // earlier levels. Slots, pages and pools are written serially
+  // between levels, so copy-on-write and pool growth stay on the
+  // calling thread.
+  std::optional<ThreadPool> own_workers;
+  // Asked only at the first wide level: the CPU count is a file read,
+  // which a small incremental rebuild should not pay.
+  std::optional<bool> parallel;
+  // One cache line each: tasks append to neighbouring chunks at once.
+  struct alignas(64) ChunkLabels {
+    std::vector<ProfileEntry> entries;
+    std::vector<uint32_t> lens;
+  };
+  std::vector<ChunkLabels> chunks;
+  LabelScratch scratch;
+  size_t begin = 0;
+  for (const size_t end : level_ends) {
+    if (end - begin >= kParallelLevelWidth && !parallel.has_value()) {
+      parallel = workers != nullptr ? workers->thread_count() > 0
+                                    : ThreadPool::DefaultThreadCount() > 1;
+    }
+    if (end - begin < kParallelLevelWidth || !*parallel) {
+      for (size_t k = begin; k < end; ++k) {
+        MergeParentLabels(dag, order[k], scratch);
+        const size_t out = scratch.acc.size();
+        if (out > options_.max_node_label_entries ||
+            live_entries_ + out > pool_budget) {
+          return false;
+        }
+        store(order[k], scratch.acc);
+      }
+      begin = end;
+      continue;
+    }
+    if (workers == nullptr) {
+      workers = &own_workers.emplace(ThreadPool::DefaultThreadCount() - 1);
+    }
+    // Budgets at level granularity: live entries only grow during the
+    // DP, so a level aborts iff some node exceeds the per-node cap or
+    // the level's total passes the pool budget — exactly when the
+    // serial loop would have, somewhere in the same level. A task stops
+    // early once either has surely tripped, bounding its buffer.
+    const size_t chunk_count = (end - begin + kLabelChunk - 1) / kLabelChunk;
+    if (chunks.size() < chunk_count) chunks.resize(chunk_count);
+    std::atomic<size_t> level_entries{0};
+    std::atomic<bool> over{false};
+    workers->ParallelFor(0, chunk_count, [&](size_t c) {
+      ChunkLabels& out = chunks[c];
+      out.entries.clear();
+      out.lens.clear();
+      LabelScratch local;
+      const size_t first = begin + c * kLabelChunk;
+      const size_t last = std::min(end, first + kLabelChunk);
+      for (size_t k = first; k < last; ++k) {
+        if (over.load(std::memory_order_relaxed)) return;
+        MergeParentLabels(dag, order[k], local);
+        const size_t size = local.acc.size();
+        out.entries.insert(out.entries.end(), local.acc.begin(),
+                           local.acc.end());
+        out.lens.push_back(static_cast<uint32_t>(size));
+        if (size > options_.max_node_label_entries ||
+            live_entries_ + out.entries.size() +
+                    level_entries.load(std::memory_order_relaxed) >
+                pool_budget) {
+          over.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+      level_entries.fetch_add(out.entries.size(), std::memory_order_relaxed);
+    });
+    const size_t total = level_entries.load();
+    if (over.load() || live_entries_ + total > pool_budget) return false;
+    // The level's labels go into a pool of their own, sized exactly, so
+    // no earlier label moves.
+    auto level_pool = std::make_shared<LabelPool>();
+    level_pool->reserve(total);
+    for (size_t c = 0; c < chunk_count; ++c) {
+      const ChunkLabels& labels = chunks[c];
+      const size_t first = begin + c * kLabelChunk;
+      size_t at = level_pool->size();
+      level_pool->insert(level_pool->end(), labels.entries.begin(),
+                         labels.entries.end());
+      for (size_t i = 0; i < labels.lens.size(); ++i) {
+        NodeSlot& slot = nodes_.Mutable(order[first + i]);
+        slot.label = level_pool->data() + at;
+        slot.label_len = labels.lens[i];
+        at += labels.lens[i];
+      }
+    }
+    live_entries_ += total;
+    pooled_entries_ += total;
+    label_pools_.push_back(std::move(level_pool));
+    begin = end;
   }
   if (!pool->empty()) {
     pooled_entries_ += pool->size();
@@ -337,12 +471,18 @@ void ReachabilityIndex::PublishMetrics() const {
 std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::Build(
     const Dag& dag, uint64_t acm_epoch, std::span<const ReachLabeledRow> rows,
     const ReachabilityOptions& options) {
+  return BuildOn(dag, acm_epoch, rows, options, nullptr);
+}
+
+std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::BuildOn(
+    const Dag& dag, uint64_t acm_epoch, std::span<const ReachLabeledRow> rows,
+    const ReachabilityOptions& options, ThreadPool* workers) {
   auto index = std::shared_ptr<ReachabilityIndex>(new ReachabilityIndex());
   index->options_ = options;
   index->dag_generation_ = dag.generation();
   index->acm_epoch_ = acm_epoch;
   index->AssignClasses(dag, rows);
-  index->ready_ = index->ComputeLabels(dag, {}, nullptr);
+  index->ready_ = index->ComputeLabels(dag, {}, nullptr, workers);
   if (!index->ready_) {
     index->DropLabels();
     if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();
@@ -357,6 +497,16 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
     const std::shared_ptr<const ReachabilityIndex>& previous,
     std::span<const NodeId> affected,
     std::span<const ReachLabeledRow> changed_rows) {
+  return RebuildIncrementalOn(dag, acm_epoch, previous, affected,
+                              changed_rows, nullptr);
+}
+
+std::shared_ptr<const ReachabilityIndex>
+ReachabilityIndex::RebuildIncrementalOn(
+    const Dag& dag, uint64_t acm_epoch,
+    const std::shared_ptr<const ReachabilityIndex>& previous,
+    std::span<const NodeId> affected,
+    std::span<const ReachLabeledRow> changed_rows, ThreadPool* workers) {
   assert(previous != nullptr);
   const uint64_t start_ns = obs::NowNs();
   const size_t n = dag.node_count();
@@ -426,7 +576,8 @@ std::shared_ptr<const ReachabilityIndex> ReachabilityIndex::RebuildIncremental(
     index->ready_ = false;
     index->DropLabels();
   } else {
-    index->ready_ = index->ComputeLabels(dag, dirty, previous.get());
+    index->ready_ =
+        index->ComputeLabels(dag, dirty, previous.get(), workers);
     if (!index->ready_) {
       index->DropLabels();
       if constexpr (obs::kEnabled) Metrics().budget_aborts.Inc();

@@ -11,6 +11,10 @@
 #include "graph/dag.h"
 #include "util/paged_array.h"
 
+namespace ucr {
+class ThreadPool;
+}  // namespace ucr
+
 namespace ucr::graph {
 
 /// \brief One subject's explicit-matrix row, packed for the
@@ -79,6 +83,11 @@ struct ReachabilityOptions {
 /// carries a shared immutable view, so snapshot readers stay
 /// lock-free. Boolean reachability is a separate structure,
 /// `ReachQuery` (graph/reach_query.h), built on demand.
+///
+/// The label DP runs level by level (longest-path depth); a wide level
+/// is labeled on a thread pool of `ThreadPool::DefaultThreadCount() -
+/// 1` workers, with labels, classes and budget outcomes identical to a
+/// serial pass.
 class ReachabilityIndex {
  public:
   using ClassId = uint32_t;
@@ -185,7 +194,23 @@ class ReachabilityIndex {
   std::map<std::pair<ClassId, ClassId>, size_t> SummaryEdges() const;
 
  private:
+  /// Runs the `*On` entry points on a chosen pool (equivalence tests).
+  friend struct ReachabilityIndexTestPeer;
+
   ReachabilityIndex() = default;
+
+  /// `Build` / `RebuildIncremental` with the label DP's wide levels on
+  /// `workers`; null starts a pool of DefaultThreadCount() - 1 workers
+  /// at the first wide level (none on a 1-CPU host).
+  static std::shared_ptr<const ReachabilityIndex> BuildOn(
+      const Dag& dag, uint64_t acm_epoch,
+      std::span<const ReachLabeledRow> rows,
+      const ReachabilityOptions& options, ThreadPool* workers);
+  static std::shared_ptr<const ReachabilityIndex> RebuildIncrementalOn(
+      const Dag& dag, uint64_t acm_epoch,
+      const std::shared_ptr<const ReachabilityIndex>& previous,
+      std::span<const NodeId> affected,
+      std::span<const ReachLabeledRow> changed_rows, ThreadPool* workers);
 
   struct ClassData {
     std::vector<uint64_t> row;
@@ -202,14 +227,25 @@ class ReachabilityIndex {
   void AssignClasses(const Dag& dag, std::span<const ReachLabeledRow> rows);
   /// Moves node `v` to class `next`, keeping member and folded counts.
   void Reassign(NodeId v, ClassId next);
+  /// Per-thread buffers of `MergeParentLabels`.
+  struct LabelScratch {
+    std::vector<ProfileEntry> acc;  ///< The result.
+    std::vector<ProfileEntry> run;
+    std::vector<ProfileEntry> merged;
+  };
+  /// Computes L(v) from its parents' slots into `scratch.acc`. Reads
+  /// only; safe to run concurrently for the nodes of one level.
+  void MergeParentLabels(const Dag& dag, NodeId v,
+                         LabelScratch& scratch) const;
   /// Computes profile labels into one new pool. With `prev == nullptr`
-  /// the whole hierarchy is labeled in topological order; otherwise
-  /// only the nodes of `affected` (sorted, unique) are recomputed, in a
-  /// Kahn order over the affected-induced sub-graph, and every other
-  /// node keeps `prev`'s label, pool shared. Returns false on budget
-  /// breach.
+  /// the whole hierarchy is labeled level by level; otherwise only the
+  /// nodes of `affected` (sorted, unique) are recomputed, by levels of
+  /// the affected-induced sub-graph, and every other node keeps
+  /// `prev`'s label, pool shared. Levels of at least
+  /// `kParallelLevelWidth` nodes run on `workers` (see `BuildOn`).
+  /// Returns false on budget breach.
   bool ComputeLabels(const Dag& dag, std::span<const NodeId> affected,
-                     const ReachabilityIndex* prev);
+                     const ReachabilityIndex* prev, ThreadPool* workers);
   /// Copies every live label into one pool and drops the others.
   void RepackLabels();
   /// Not-ready state: no labels, no pools (classes stay).

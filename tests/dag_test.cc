@@ -426,6 +426,282 @@ TEST(DagMutationTest, CopiesKeepAdjacencyAndStampsAcrossPagesAndChunks) {
   EXPECT_GT(edits, 200u);
 }
 
+/// Serialized CSR parts, as `graph/io.cc` hands them to `FromCsr`.
+struct Csr {
+  std::vector<std::string> names;
+  std::vector<size_t> child_offsets;
+  std::vector<NodeId> children;
+  std::vector<size_t> parent_offsets;
+  std::vector<NodeId> parents;
+};
+
+/// Mirrored CSR of `edges` (parent, child) over `names`, lists in edge
+/// order.
+Csr CsrOf(std::vector<std::string> names,
+          const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  const size_t n = names.size();
+  std::vector<std::vector<NodeId>> kids(n);
+  std::vector<std::vector<NodeId>> ups(n);
+  for (const auto& [p, c] : edges) {
+    kids[p].push_back(c);
+    ups[c].push_back(p);
+  }
+  Csr csr;
+  csr.names = std::move(names);
+  csr.child_offsets.push_back(0);
+  csr.parent_offsets.push_back(0);
+  for (size_t v = 0; v < n; ++v) {
+    csr.children.insert(csr.children.end(), kids[v].begin(), kids[v].end());
+    csr.parents.insert(csr.parents.end(), ups[v].begin(), ups[v].end());
+    csr.child_offsets.push_back(csr.children.size());
+    csr.parent_offsets.push_back(csr.parents.size());
+  }
+  return csr;
+}
+
+StatusOr<Dag> FromCsr(Csr csr) {
+  return Dag::FromCsr(std::move(csr.names), std::move(csr.child_offsets),
+                      std::move(csr.children), std::move(csr.parent_offsets),
+                      std::move(csr.parents));
+}
+
+/// BuildSmall's diamond: A -> {B, C} -> D.
+Csr Diamond() {
+  return CsrOf({"A", "B", "C", "D"}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+}
+
+TEST(DagFromCsrTest, AcceptsAMirroredAcyclicGraph) {
+  auto dag = FromCsr(Diamond());
+  ASSERT_TRUE(dag.ok()) << dag.status().message();
+  EXPECT_EQ(dag->node_count(), 4u);
+  EXPECT_EQ(dag->edge_count(), 4u);
+  EXPECT_EQ(dag->FindNode("D"), 3u);
+  // Parent lists need not be sorted, only mirror the child lists.
+  Csr shuffled = Diamond();
+  std::swap(shuffled.parents[2], shuffled.parents[3]);  // D: {C, B}.
+  EXPECT_TRUE(FromCsr(std::move(shuffled)).ok());
+}
+
+// One malformed input per check, each rejected as kCorruption with its
+// own message; the inputs breaking two checks at once pin the order in
+// which they run (self-loop, mirror, duplicate edge, duplicate name,
+// cycle).
+TEST(DagFromCsrTest, RejectsEachMalformedInputWithItsMessage) {
+  struct Case {
+    const char* what;
+    Csr csr;
+    const char* message;
+  };
+  std::vector<Case> cases;
+  {
+    Csr c = Diamond();
+    c.child_offsets.pop_back();
+    cases.push_back({"short offsets", std::move(c),
+                     "offset array size mismatch"});
+  }
+  {
+    Csr c = Diamond();
+    c.children.pop_back();
+    cases.push_back({"edge arrays of different sizes", std::move(c),
+                     "offset bounds do not match edge arrays"});
+  }
+  {
+    Csr c = Diamond();
+    c.child_offsets = {0, 3, 1, 4, 4};  // Ends agree; A's range ends past B's.
+    cases.push_back({"non-monotonic offsets", std::move(c),
+                     "non-monotonic offsets"});
+  }
+  {
+    Csr c = Diamond();
+    c.children[1] = 4;
+    cases.push_back({"child id out of range", std::move(c),
+                     "child id out of range"});
+  }
+  {
+    Csr c = Diamond();
+    c.parents[0] = 99;
+    cases.push_back({"parent id out of range", std::move(c),
+                     "parent id out of range"});
+  }
+  cases.push_back({"self-loop",
+                   CsrOf({"A", "B", "C", "D"},
+                         {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 1}}),
+                   "self-loop"});
+  {
+    // A self-loop listed only among the parents breaks the mirror.
+    Csr c = CsrOf({"A", "B", "C", "D"}, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+    c.parents[0] = 1;  // B's parent A -> B itself.
+    cases.push_back({"self-loop in the parent lists only", std::move(c),
+                     "child/parent adjacency mismatch"});
+  }
+  {
+    Csr c = Diamond();
+    c.parents[3] = 0;  // D's parents {B, C} -> {B, A}: same count.
+    cases.push_back({"same count, different endpoint", std::move(c),
+                     "child/parent adjacency mismatch"});
+  }
+  cases.push_back({"duplicate edge in both directions",
+                   CsrOf({"A", "B", "C", "D"},
+                         {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {0, 1}}),
+                   "duplicate edge"});
+  {
+    // The duplicate child edge is mirrored by a different parent edge.
+    Csr c = CsrOf({"A", "B", "C", "D"},
+                  {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {0, 1}});
+    c.parents = {0, 0, 0, 1, 2};  // B: {A}, C: {A, A}, D: {B, C}.
+    c.parent_offsets = {0, 0, 1, 3, 5};
+    cases.push_back({"duplicate edge mirrored as another edge", std::move(c),
+                     "child/parent adjacency mismatch"});
+  }
+  cases.push_back({"duplicate name",
+                   CsrOf({"A", "B", "A", "D"},
+                         {{0, 1}, {0, 2}, {1, 3}, {2, 3}}),
+                   "duplicate node name"});
+  cases.push_back({"cycle",
+                   CsrOf({"A", "B", "C", "D"},
+                         {{0, 1}, {1, 2}, {2, 0}, {2, 3}}),
+                   "contains a cycle"});
+  // Precedence where two checks fail at once.
+  cases.push_back({"self-loop before duplicate edge",
+                   CsrOf({"A", "B"}, {{0, 1}, {0, 1}, {1, 1}}), "self-loop"});
+  {
+    Csr c = CsrOf({"A", "B", "C"}, {{0, 1}, {0, 1}, {1, 2}});
+    c.parents.back() = 0;  // C's parent B -> A; A -> B is still doubled.
+    cases.push_back({"mismatch before duplicate edge", std::move(c),
+                     "child/parent adjacency mismatch"});
+  }
+  cases.push_back({"duplicate edge before duplicate name",
+                   CsrOf({"A", "A"}, {{0, 1}, {0, 1}}), "duplicate edge"});
+  cases.push_back({"duplicate name before cycle",
+                   CsrOf({"A", "A"}, {{0, 1}, {1, 0}}),
+                   "duplicate node name"});
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto dag = FromCsr(std::move(c.csr));
+    ASSERT_FALSE(dag.ok());
+    EXPECT_EQ(dag.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(dag.status().message(), std::string("CSR graph: ") + c.message);
+  }
+}
+
+/// Tens of thousands of names that stress a hash index: short and long
+/// (past the small-string buffer), with embedded NUL bytes, and with
+/// long shared prefixes.
+std::vector<std::string> HardNames(size_t count) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < count; ++i) {
+    const std::string id = std::to_string(i);
+    switch (i % 4) {
+      case 0:
+        names.push_back("s" + id);
+        break;
+      case 1:
+        names.push_back("corp/engineering/platform/storage/member-" + id);
+        break;
+      case 2:
+        names.push_back(std::string("nul\0", 4) + id + std::string("\0", 1));
+        break;
+      default:
+        names.push_back("corp/engineering/platform/storage/member-" + id +
+                        "/deputy");
+        break;
+    }
+  }
+  return names;
+}
+
+/// Near misses of `name`: a prefix, an extension, a NUL appended, and
+/// one byte changed.
+std::vector<std::string> Absent(const std::string& name) {
+  std::string changed = name;
+  changed.back() = static_cast<char>(changed.back() ^ 0x40);
+  return {name.substr(0, name.size() - 1), name + "x", name + '\0', changed};
+}
+
+TEST(DagNameIndexTest, ResolvesManyHardNamesAndRejectsNearMisses) {
+  const std::vector<std::string> names = HardNames(40000);
+  DagBuilder builder;
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(builder.AddNode(names[i]), i);
+  }
+  // A repeated name returns its existing id and adds nothing.
+  for (size_t i = 0; i < names.size(); i += 97) {
+    EXPECT_EQ(builder.AddNode(names[i]), i);
+  }
+  EXPECT_EQ(builder.node_count(), names.size());
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok());
+  auto loaded = FromCsr(CsrOf(names, {}));
+  ASSERT_TRUE(loaded.ok());
+
+  std::vector<std::string> extra;
+  for (size_t i = 0; i < names.size(); i += 13) {
+    for (std::string& miss : Absent(names[i])) extra.push_back(std::move(miss));
+  }
+  for (const Dag* dag : {&built.value(), &loaded.value()}) {
+    ASSERT_EQ(dag->node_count(), names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      ASSERT_EQ(dag->name(static_cast<NodeId>(i)), names[i]);
+      ASSERT_EQ(dag->FindNode(names[i]), i);
+    }
+    size_t found = 0;
+    for (const std::string& miss : extra) {
+      const NodeId id = dag->FindNode(miss);
+      // A near miss of one name can be another name ("s1" + "x" is
+      // not, but "s1" minus its last byte is "s").
+      if (id != kInvalidNode) {
+        EXPECT_EQ(dag->name(id), miss);
+        ++found;
+      }
+    }
+    EXPECT_LT(found, extra.size() / 10);
+    EXPECT_EQ(dag->FindNode(""), kInvalidNode);
+  }
+}
+
+TEST(DagNameIndexTest, CopiesKeepTheirNamesAcrossDeltaFolds) {
+  // 10,000 base names: the delta folds into a new base past ~100
+  // names, so 400 creations fold at least twice, each time with the
+  // base shared by the copies.
+  const std::vector<std::string> base_names = HardNames(10000);
+  auto loaded = FromCsr(CsrOf(base_names, {}));
+  ASSERT_TRUE(loaded.ok());
+  Dag dag = std::move(loaded).value();
+  const std::vector<std::string> added = HardNames(10400);
+  std::vector<Dag> copies;
+  for (size_t i = 10000; i < added.size(); ++i) {
+    copies.push_back(dag);  // Holds the tables the creation must not touch.
+    ASSERT_EQ(dag.EnsureNode(added[i]), i);
+    ASSERT_EQ(dag.EnsureNode(added[i]), i);  // Idempotent.
+  }
+  copies.push_back(dag);
+  for (size_t c = 0; c < copies.size(); ++c) {
+    const Dag& copy = copies[c];
+    const size_t own = 10000 + c;  // Names the copy was taken with.
+    ASSERT_EQ(copy.node_count(), own);
+    for (size_t i = 10000; i < added.size(); ++i) {
+      ASSERT_EQ(copy.FindNode(added[i]),
+                i < own ? static_cast<NodeId>(i) : kInvalidNode)
+          << "copy " << c << " name " << i;
+      if (i < own) {
+        ASSERT_EQ(copy.name(static_cast<NodeId>(i)), added[i]);
+      }
+    }
+    for (size_t i = c % 7; i < base_names.size(); i += 7) {
+      ASSERT_EQ(copy.FindNode(base_names[i]), i);
+    }
+  }
+  // Dropping the copies leaves the original whole.
+  copies.clear();
+  for (size_t i = 0; i < added.size(); ++i) {
+    ASSERT_EQ(dag.FindNode(added[i]), i);
+    ASSERT_EQ(dag.name(static_cast<NodeId>(i)), added[i]);
+  }
+  EXPECT_EQ(dag.EnsureNode("fresh"), added.size());
+  EXPECT_EQ(dag.FindNode("fresh"), added.size());
+}
+
 TEST(DagMutationTest, DescendantsOfIncludesStartAndFollowsChildren) {
   const Dag dag = BuildSmall();
   const std::vector<NodeId> from_a = dag.DescendantsOf(dag.FindNode("A"));

@@ -24,8 +24,27 @@
 #include "graph/reach_query.h"
 #include "graph/generators.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace ucr::graph {
+
+/// Runs the label DP on a chosen pool, so the serial and the
+/// level-parallel paths can be compared on one input.
+struct ReachabilityIndexTestPeer {
+  static std::shared_ptr<const ReachabilityIndex> Build(
+      const Dag& dag, std::span<const ReachLabeledRow> rows,
+      const ReachabilityOptions& options, ThreadPool& workers) {
+    return ReachabilityIndex::BuildOn(dag, 1, rows, options, &workers);
+  }
+  static std::shared_ptr<const ReachabilityIndex> Rebuild(
+      const Dag& dag, const std::shared_ptr<const ReachabilityIndex>& prev,
+      std::span<const NodeId> affected,
+      std::span<const ReachLabeledRow> changed_rows, ThreadPool& workers) {
+    return ReachabilityIndex::RebuildIncrementalOn(dag, 2, prev, affected,
+                                                   changed_rows, &workers);
+  }
+};
+
 namespace {
 
 ReachLabeledRow Row(NodeId node, std::vector<uint64_t> keys) {
@@ -339,6 +358,129 @@ TEST(ReachabilityTest, LabelBudgetAbortIsStickyAcrossIncrementalRebuilds) {
       dag, 2, idx, affected, {});
   EXPECT_FALSE(rebuilt->ready());
   EXPECT_EQ(rebuilt->dag_generation(), dag.generation());
+}
+
+/// Labels, classes and counters of `a` and `b` are identical, class
+/// ids included; only how the labels are spread over pools may differ.
+void ExpectSameIndex(const Dag& dag, const ReachabilityIndex& a,
+                     const ReachabilityIndex& b) {
+  ASSERT_EQ(a.ready(), b.ready());
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.class_count(), b.class_count());
+  for (NodeId v = 0; v < dag.node_count(); ++v) {
+    ASSERT_EQ(a.class_of(v), b.class_of(v)) << "node " << v;
+  }
+  EXPECT_TRUE(SameEntries(RawLabels(a), RawLabels(b)));
+  const ReachabilityIndex::IndexStats sa = a.stats();
+  const ReachabilityIndex::IndexStats sb = b.stats();
+  EXPECT_EQ(sa.ready, sb.ready);
+  EXPECT_EQ(sa.supernodes, sb.supernodes);
+  EXPECT_EQ(sa.folded_nodes, sb.folded_nodes);
+  EXPECT_EQ(sa.label_entries, sb.label_entries);
+  EXPECT_EQ(sa.label_bytes, sb.label_bytes);
+}
+
+TEST(ReachabilityTest, LevelParallelLabelsMatchTheSerialPass) {
+  // 2^15 nodes in 8 layers: every level is 4096 nodes wide, past the
+  // width at which the DP goes parallel. Rows from a few templates on
+  // the top half keep labels varied but bounded.
+  Random rng(2026);
+  ScaleLayeredDagOptions shape;
+  shape.nodes = size_t{1} << 15;
+  shape.layers = 8;
+  shape.parents_per_node = 2;
+  auto built = GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(built.ok());
+  Dag dag = std::move(built).value();
+  const size_t n = dag.node_count();
+  std::map<NodeId, std::vector<uint64_t>> rows;
+  for (NodeId v = 0; v < n / 2; ++v) {
+    if (rng.Bernoulli(v < n / 8 ? 0.3 : 0.01)) {
+      rows[v] = {uint64_t{10} + rng.Uniform(3), uint64_t{20} + rng.Uniform(2)};
+    }
+  }
+
+  ThreadPool inline_pool(0);
+  ThreadPool three(3);
+  const ReachabilityOptions defaults;
+  const auto serial = ReachabilityIndexTestPeer::Build(dag, RowsOf(rows),
+                                                       defaults, inline_pool);
+  const auto parallel =
+      ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), defaults, three);
+  ASSERT_TRUE(serial->ready());
+  ExpectSameIndex(dag, *serial, *parallel);
+  // The parallel path ran: each wide level's labels got a pool.
+  EXPECT_EQ(serial->stats().label_pools, 1u);
+  EXPECT_GT(parallel->stats().label_pools, 1u);
+
+  // A wide grant: new rows on a tenth of the roots relabel most of the
+  // hierarchy through the same level-parallel routine.
+  std::vector<ReachLabeledRow> changed;
+  std::vector<NodeId> affected;
+  for (NodeId v = 0; v < n / 8; v += 10) {
+    rows[v] = {uint64_t{30} + v % 2};
+    changed.push_back(Row(v, rows[v]));
+    const std::vector<NodeId> below = dag.DescendantsOf(v);
+    affected.insert(affected.end(), below.begin(), below.end());
+  }
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  ASSERT_GT(affected.size(), n / 2);
+  const auto serial_next = ReachabilityIndexTestPeer::Rebuild(
+      dag, serial, affected, changed, inline_pool);
+  const auto parallel_next = ReachabilityIndexTestPeer::Rebuild(
+      dag, parallel, affected, changed, three);
+  ASSERT_TRUE(serial_next->ready());
+  ExpectSameIndex(dag, *serial_next, *parallel_next);
+  ExpectIndexesEquivalent(
+      dag, *serial_next,
+      *ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), defaults, three));
+
+  // Budgets that trip inside a level abort both paths alike. Labels
+  // per level of the current rows, in the DP's level order (layer =
+  // longest-path depth here, since every edge descends exactly one
+  // layer):
+  std::vector<size_t> level_entries(shape.layers, 0);
+  size_t widest = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    level_entries[v * shape.layers / n] += serial_next->label(v).size();
+    widest = std::max(widest, serial_next->label(v).size());
+  }
+  const size_t total = serial_next->stats().label_entries;
+  // Mean budget: the largest whole-number mean the labels exceed.
+  ReachabilityOptions mean = defaults;
+  mean.max_mean_label_entries = (total - 1) / n;
+  const size_t budget = n * mean.max_mean_label_entries;
+  size_t before = 0;
+  size_t level = 0;
+  while (before + level_entries[level] <= budget) {
+    before += level_entries[level++];
+  }
+  EXPECT_GT(budget, before) << "budget should trip mid-level";
+  // Per-node cap: one below the widest label.
+  ReachabilityOptions cap = defaults;
+  cap.max_node_label_entries = widest - 1;
+  for (const ReachabilityOptions& tight : {mean, cap}) {
+    const auto s = ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), tight,
+                                                    inline_pool);
+    const auto p =
+        ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), tight, three);
+    EXPECT_FALSE(s->ready());
+    ExpectSameIndex(dag, *s, *p);
+    EXPECT_EQ(p->stats().label_pools, 0u);
+  }
+  // One more entry of room and both build.
+  ++mean.max_mean_label_entries;
+  ++cap.max_node_label_entries;
+  for (const ReachabilityOptions& roomy : {mean, cap}) {
+    const auto s = ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), roomy,
+                                                    inline_pool);
+    const auto p =
+        ReachabilityIndexTestPeer::Build(dag, RowsOf(rows), roomy, three);
+    EXPECT_TRUE(s->ready());
+    ExpectSameIndex(dag, *s, *p);
+  }
 }
 
 TEST(ReachabilityTest, ScaleLayeredGeneratorShapeContract) {
