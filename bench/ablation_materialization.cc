@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "acm/assignment.h"
-#include "core/effective_matrix.h"
 #include "core/strategy.h"
 #include "core/system.h"
+#include "paper/effective_matrix.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"

@@ -9,11 +9,11 @@
 #include <iostream>
 #include <vector>
 
-#include "core/mixed.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/mixed.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"

@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/propagate.h"
-#include "core/relalg_impl.h"
 #include "core/resolve.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
+#include "paper/relalg_impl.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"

@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "paper/experiments.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "workload/experiments.h"
 
 #include "bench_obs.h"
 

@@ -18,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "paper/experiments.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "workload/experiments.h"
 
 #include "bench_obs.h"
 

@@ -20,10 +20,10 @@
 #include <iostream>
 #include <vector>
 
+#include "paper/experiments.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "workload/experiments.h"
 
 #include "bench_obs.h"
 

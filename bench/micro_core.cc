@@ -7,20 +7,18 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "acm/acm.h"
 #include "acm/assignment.h"
-#include "core/dominance.h"
 #include "core/explain.h"
-#include "core/mixed.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
-#include "core/system.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/dominance.h"
+#include "paper/mixed.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 
@@ -182,48 +180,6 @@ void BM_ExplainAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExplainAccess)->Arg(400);
-
-void BM_CheckAccessBatchThreads(benchmark::State& state) {
-  Fixture f = MakeEnterprise(400);
-  core::AccessControlSystem system(std::move(f.dag));
-  // Replay the fixture's labels through the facade.
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    if (f.labels[v].has_value()) {
-      const Status status =
-          *f.labels[v] == acm::Mode::kPositive
-              ? system.Grant(system.dag().name(v), "obj", "read")
-              : system.DenyAccess(system.dag().name(v), "obj", "read");
-      if (!status.ok()) std::abort();
-    }
-  }
-  const acm::ObjectId obj = system.eacm().FindObject("obj").value();
-  const acm::RightId right = system.eacm().FindRight("read").value();
-
-  std::vector<core::AccessControlSystem::AccessQuery> queries;
-  Random rng(9);
-  const auto sinks = system.dag().Sinks();
-  for (int i = 0; i < 256; ++i) {
-    queries.push_back({sinks[rng.Uniform(sinks.size())], obj, right});
-  }
-  const core::Strategy strategy = core::ParseStrategy("D+LP-").value();
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto results = system.CheckAccessBatch(queries, strategy, threads);
-    if (!results.ok()) std::abort();
-    benchmark::DoNotOptimize(results->size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
-  // Parallel speedup needs parallel hardware; on a single-core host
-  // the threaded rows measure pure oversubscription overhead.
-  state.SetLabel("hw_cores=" +
-                 std::to_string(std::thread::hardware_concurrency()));
-}
-BENCHMARK(BM_CheckAccessBatchThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 void BM_MixedPropagate(benchmark::State& state) {
   Random rng(321);

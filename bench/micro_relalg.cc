@@ -6,8 +6,8 @@
 
 #include <string>
 
-#include "core/paper_example.h"
-#include "core/relalg_impl.h"
+#include "paper/paper_example.h"
+#include "paper/relalg_impl.h"
 #include "relalg/operators.h"
 #include "relalg/relation.h"
 #include "util/random.h"

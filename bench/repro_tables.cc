@@ -12,12 +12,12 @@
 #include <tuple>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/propagate.h"
-#include "core/relalg_impl.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/ancestor_subgraph.h"
+#include "paper/paper_example.h"
+#include "paper/relalg_impl.h"
 #include "util/table_printer.h"
 
 #include "bench_obs.h"

@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "core/batch_resolver.h"
-#include "core/effective_matrix.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "obs/metrics.h"
+#include "paper/effective_matrix.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"

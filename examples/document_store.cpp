@@ -1,5 +1,5 @@
 // Document store: mixed subject AND object hierarchies (the paper's
-// §6 future-work #2, implemented in core/mixed.h).
+// §6 future-work #2, implemented in paper/mixed.h).
 //
 // Subjects: a small company; objects: a shared drive whose folders
 // nest and *cross-link* (a release folder appears under both
@@ -14,9 +14,9 @@
 #include <iostream>
 #include <vector>
 
-#include "core/mixed.h"
 #include "core/strategy.h"
 #include "graph/dag.h"
+#include "paper/mixed.h"
 #include "util/table_printer.h"
 
 int main() {

@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "acm/assignment.h"
-#include "core/audit.h"
 #include "core/strategy.h"
 #include "core/system.h"
+#include "paper/audit.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
             << " (" << summary->negatives << " denials)\n\n";
 
   // Diff the effective column between the two strategies using the
-  // library's migration analysis (core/audit.h).
+  // library's migration analysis (paper/audit.h).
   const acm::ObjectId obj = system.eacm().FindObject("q3-forecast.xls").value();
   const acm::RightId right = system.eacm().FindRight("read").value();
   auto report = core::CompareStrategies(system, obj, right, *from, *to);

@@ -11,12 +11,12 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/ancestor_subgraph.h"
+#include "paper/paper_example.h"
 #include "util/table_printer.h"
 
 int main() {

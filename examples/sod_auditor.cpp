@@ -4,9 +4,9 @@
 // Builds a payment workflow with a separation-of-duty rule (no one
 // both submits and approves invoices) and a Chinese-wall
 // conflict-of-interest class over client files, then audits the
-// *effective* matrix under several strategies (core/constraints.h,
+// *effective* matrix under several strategies (paper/constraints.h,
 // the paper's future-work #4) and prints a migration report
-// (core/audit.h). The punchline: compliance is a property of the
+// (paper/audit.h). The punchline: compliance is a property of the
 // strategy, not just of the explicit matrix — flip the paper's
 // runtime switch carelessly and an auditor-approved configuration
 // starts violating.
@@ -16,11 +16,11 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/audit.h"
-#include "core/constraints.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/io.h"
+#include "paper/audit.h"
+#include "paper/constraints.h"
 #include "util/table_printer.h"
 
 int main() {

@@ -19,11 +19,11 @@
 
 #include "acm/acm.h"
 #include "core/explain.h"
-#include "core/paper_example.h"
-#include "core/relalg_impl.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/io.h"
+#include "paper/paper_example.h"
+#include "paper/relalg_impl.h"
 #include "util/table_printer.h"
 
 namespace {

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "core/explain.h"
-#include "core/paper_example.h"
 #include "core/persistent_system.h"
 #include "core/storage.h"
 #include "core/strategy.h"
@@ -65,6 +64,7 @@
 #include "obs/shadow.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "paper/paper_example.h"
 
 #ifndef UCR_ADMIN_VERSION
 #define UCR_ADMIN_VERSION "dev"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/mixed.h"
 #include "core/propagate.h"
 #include "graph/ancestor_subgraph.h"
 
@@ -74,7 +73,7 @@ StatusOr<Explanation> ExplainAccess(const graph::Dag& dag,
   const std::vector<std::optional<Mode>> labels =
       eacm.ExtractLabels(dag.node_count(), object, right);
   const std::vector<std::vector<uint64_t>> profiles =
-      AllDistanceProfiles(sub);
+      graph::AllDistanceProfiles(sub);
 
   // Collect contributing sources and assemble the total bag from
   // their profiles (identical to PropagateAggregated by construction;

@@ -45,9 +45,6 @@ struct ResolveMetrics {
   obs::Counter& classic = obs::Registry::Global().GetCounter(
       "ucr_resolve_classic_queries_total",
       "ResolveAccess queries answered by the classic aggregated engine");
-  obs::Counter& literal = obs::Registry::Global().GetCounter(
-      "ucr_resolve_literal_queries_total",
-      "ResolveAccess queries answered by the paper-literal tuple engine");
   obs::Histogram& latency = obs::Registry::Global().GetHistogram(
       "ucr_resolve_latency_ns", "End-to-end ResolveAccess latency (ns)");
   obs::Histogram& snapshot_latency = obs::Registry::Global().GetHistogram(
@@ -448,12 +445,63 @@ acm::Mode ResolveEntries(std::span<const RightsEntry> all_rights,
 
 namespace {
 
-/// Online shadow-verification oracle (DESIGN.md §9): re-resolves one
-/// hot-path decision with the classic engines (ancestor-sub-graph
-/// extraction, aggregated propagation, Fig. 4 `Resolve`) and compares
-/// decision *and* derivation (c1/c2, Auth set, returned line) bit for
-/// bit. A divergence is counted (`ucr_shadow_mismatch_total`), retained
-/// in the mismatch dump, and emitted as an audit event carrying both
+/// One run of the classic oracle: its decision, the ancestor
+/// sub-graph's size, and the stage stamps of the caller's span (0
+/// without a span, or when the span is unsampled).
+struct ClassicRun {
+  acm::Mode mode = Mode::kNegative;
+  size_t members = 0;
+  uint64_t t_extract = 0;
+  uint64_t t_propagate = 0;
+};
+
+/// The classic oracle: Steps 1–4 on the reference engines —
+/// ancestor-sub-graph extraction, aggregated propagation, Fig. 4
+/// `Resolve`. `ResolveAccess(use_fast_path = false)` and shadow
+/// verification both run it. The sparse column is staged into
+/// reusable per-thread label storage, so a steady-state run costs
+/// O(sub-graph), not O(node count); `stats` receive the aggregated
+/// engine's work counters.
+ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
+                          graph::NodeId subject, acm::ObjectId object,
+                          acm::RightId right, const Strategy& canonical,
+                          const PropagateOptions& prop_options,
+                          const QuerySpan* span, ResolveTrace* trace,
+                          PropagateStats* stats) {
+  struct ClassicScratch {
+    graph::SubgraphScratch extraction;
+    std::vector<std::optional<acm::Mode>> labels;
+  };
+  thread_local ClassicScratch scratch;
+  const size_t node_count = dag.node_count();
+  if (scratch.labels.size() < node_count) scratch.labels.resize(node_count);
+
+  // Stage the sparse column into the dense label view the classic
+  // engine consumes, exactly like ExtractLabels would build it.
+  const std::span<const acm::ExplicitAcm::ColumnEntry> column =
+      eacm.Column(object, right);
+  for (const acm::ExplicitAcm::ColumnEntry& e : column) {
+    if (e.subject < node_count) scratch.labels[e.subject] = e.mode;
+  }
+  ClassicRun run;
+  const graph::AncestorSubgraph sub(dag, subject, scratch.extraction);
+  run.members = sub.member_count();
+  if (span != nullptr) run.t_extract = span->Stamp();
+  const RightsBag bag = PropagateAggregated(
+      sub, LabelView(scratch.labels.data(), node_count), prop_options, stats);
+  if (span != nullptr) run.t_propagate = span->Stamp();
+  run.mode = Resolve(bag, canonical, trace);
+  for (const acm::ExplicitAcm::ColumnEntry& e : column) {
+    if (e.subject < node_count) scratch.labels[e.subject].reset();
+  }
+  return run;
+}
+
+/// Online shadow verification (DESIGN.md §9): re-resolves one hot-path
+/// decision with the classic oracle and compares decision *and*
+/// derivation (c1/c2, Auth set, returned line) bit for bit. A
+/// divergence is counted (`ucr_shadow_mismatch_total`), retained in the
+/// mismatch dump, and emitted as an audit event carrying both
 /// derivations. Its heap traffic runs under an allocation-exclusion
 /// scope, so the hot path's 0-allocs/query bound refers to unshadowed
 /// queries. When the decision came from the reachability index,
@@ -472,37 +520,18 @@ namespace {
   obs::ScopedAllocExclusion off_budget;
   obs::ScopedPhaseSuspend no_phases;
 
-  // Reusable per-thread staging so the steady-state oracle cost is
-  // O(sub-graph), not O(node-count) vector churn per shadowed query.
-  struct ShadowScratch {
-    graph::SubgraphScratch extraction;
-    std::vector<std::optional<acm::Mode>> labels;
-  };
-  thread_local ShadowScratch scratch;
-  const size_t node_count = dag.node_count();
-  if (scratch.labels.size() < node_count) scratch.labels.resize(node_count);
-
-  // Stage the sparse column into the dense label view the classic
-  // engine consumes, exactly like ExtractLabels would build it.
-  const std::span<const acm::ExplicitAcm::ColumnEntry> column =
-      eacm.Column(object, right);
-  for (const acm::ExplicitAcm::ColumnEntry& e : column) {
-    if (e.subject < node_count) scratch.labels[e.subject] = e.mode;
-  }
-  const graph::AncestorSubgraph sub(dag, subject, scratch.extraction);
+  ResolveTrace oracle_trace;
+  const ClassicRun oracle =
+      ResolveClassic(dag, eacm, subject, object, right, canonical,
+                     prop_options, nullptr, &oracle_trace, nullptr);
+  acm::Mode oracle_mode = oracle.mode;
   if (indexed_bag_entries != SIZE_MAX) {
     // The oracle just extracted the sub-graph the index skipped:
     // record how much work the compression saved on this query.
-    const size_t members = sub.member_count();
     GetResolveMetrics().pruned_nodes.Observe(
-        members > indexed_bag_entries ? members - indexed_bag_entries : 0);
-  }
-  ResolveTrace oracle_trace;
-  const RightsBag bag = PropagateAggregated(
-      sub, LabelView(scratch.labels.data(), node_count), prop_options);
-  acm::Mode oracle_mode = Resolve(bag, canonical, &oracle_trace);
-  for (const acm::ExplicitAcm::ColumnEntry& e : column) {
-    if (e.subject < node_count) scratch.labels[e.subject].reset();
+        oracle.members > indexed_bag_entries
+            ? oracle.members - indexed_bag_entries
+            : 0);
   }
 
   if (obs::ShadowVerifier::perturb_oracle_for_testing()) {
@@ -660,9 +689,9 @@ StatusOr<acm::Mode> ResolveAccess(const graph::Dag& dag,
   // `stats` describe the traversal the index skips, so their presence
   // forces the extraction path (which reports them exactly); decisions
   // and traces are bit-identical either way.
-  const bool indexed = stats == nullptr && !options.use_literal_engine &&
-                       ReachIndexUsable(reach_index, dag, eacm, options);
-  if (indexed || (options.use_fast_path && !options.use_literal_engine)) {
+  const bool indexed =
+      stats == nullptr && ReachIndexUsable(reach_index, dag, eacm, options);
+  if (indexed || options.use_fast_path) {
     return ResolveOnHotPath(dag, eacm, indexed ? reach_index : nullptr,
                             subject, object, right, canonical,
                             options.propagation_mode, span, trace, stats);
@@ -670,33 +699,20 @@ StatusOr<acm::Mode> ResolveAccess(const graph::Dag& dag,
 
   PropagateOptions prop_options;
   prop_options.propagation_mode = options.propagation_mode;
-  const graph::AncestorSubgraph sub(dag, subject);
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm.ExtractLabels(dag.node_count(), object, right);
-  const uint64_t t_extract = span.Stamp();
-
-  RightsBag all_rights;
-  if (options.use_literal_engine) {
-    UCR_ASSIGN_OR_RETURN(all_rights,
-                         PropagateLiteral(sub, labels, prop_options, stats,
-                                          options.literal_max_tuples));
-  } else {
-    all_rights = PropagateAggregated(sub, labels, prop_options, stats);
-  }
-  const uint64_t t_propagate = span.Stamp();
   ResolveTrace sampled_trace;
   ResolveTrace* trace_out =
       trace != nullptr ? trace : (span.sampled() ? &sampled_trace : nullptr);
-  const acm::Mode mode = Resolve(all_rights, canonical, trace_out);
+  const ClassicRun run =
+      ResolveClassic(dag, eacm, subject, object, right, canonical,
+                     prop_options, &span, trace_out, stats);
   if constexpr (obs::kEnabled) {
-    ResolveMetrics& m = GetResolveMetrics();
-    (options.use_literal_engine ? m.literal : m.classic).Inc();
+    GetResolveMetrics().classic.Inc();
     if (span.sampled()) [[unlikely]] {
       span.Record(subject, object, right, canonical, /*fast_path=*/false,
-                  t_extract, t_propagate, trace_out, mode);
+                  run.t_extract, run.t_propagate, trace_out, run.mode);
     }
   }
-  return mode;
+  return run.mode;
 }
 
 }  // namespace ucr::core

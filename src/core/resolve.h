@@ -75,20 +75,13 @@ acm::Mode ResolveEntries(std::span<const RightsEntry> all_rights,
 
 /// Options for the end-to-end `ResolveAccess` entry point.
 struct ResolveAccessOptions {
-  /// Propagation engine: the aggregated production engine (default) or
-  /// the paper-literal tuple queue (for cost-model experiments).
-  bool use_literal_engine = false;
-
   /// Run Steps 1–4 through the per-thread allocation-free hot path
   /// (scratch-arena extraction + flat propagation + streaming resolve;
   /// DESIGN.md §7). Decisions are bit-identical to the classic
-  /// engines; disable to force the classic path as a differential
-  /// oracle. Ignored when `use_literal_engine` is set.
+  /// engines; disable to force the classic oracle (extraction,
+  /// `PropagateAggregated`, Fig. 4 `Resolve`), which shadow
+  /// verification also runs (DESIGN.md §9).
   bool use_fast_path = true;
-
-  /// Tuple budget for the literal engine (ignored by the aggregated
-  /// engine); see `PropagateLiteral`.
-  uint64_t literal_max_tuples = UINT64_MAX;
 
   /// Propagation extension mode (paper future work #3).
   PropagationMode propagation_mode = PropagationMode::kBoth;
@@ -192,7 +185,7 @@ acm::Mode ResolveOnHotPath(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
 /// usable `reach_index` is supplied, Steps 1–3 collapse into an
 /// O(label) bag composition (DESIGN.md §12).
 ///
-/// Fails only on invalid ids or a literal-engine tuple-budget breach.
+/// Fails only on invalid ids.
 StatusOr<acm::Mode> ResolveAccess(
     const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     graph::NodeId subject, acm::ObjectId object, acm::RightId right,

@@ -4,11 +4,8 @@
 #include <mutex>
 #include <optional>
 
-#include "core/propagate.h"
-#include "graph/ancestor_subgraph.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace ucr::core {
 
@@ -473,108 +470,6 @@ StatusOr<acm::Mode> AccessControlSystem::CheckAccess(graph::NodeId subject,
   return ResolveAccess(dag_, eacm_, subject, object, right,
                        strategy.Canonical(), FacadeResolveOptions(options_),
                        nullptr, nullptr, reach_index_.get());
-}
-
-StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
-    std::span<const AccessQuery> queries, const Strategy& strategy,
-    size_t threads) {
-  // Validate everything up front so worker threads cannot fail on ids.
-  for (const AccessQuery& q : queries) {
-    if (q.subject >= dag_.node_count() || q.object >= eacm_.object_count() ||
-        q.right >= eacm_.right_count()) {
-      return Status::OutOfRange("batch query references unknown ids");
-    }
-  }
-  std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
-  if (queries.empty()) return results;
-
-  // Const access to the hierarchy and matrix only. The calling thread
-  // participates, so the pool gets threads - 1 workers (none: inline).
-  // The reachability index is refreshed once up front — workers then
-  // share the immutable generation (or fall back per ReachIndexUsable).
-  const Strategy canonical = strategy.Canonical();
-  const ResolveAccessOptions resolve_options = FacadeResolveOptions(options_);
-  EnsureReachIndexCurrent();
-  ThreadPool pool(threads <= 1 ? 0 : std::min(threads, queries.size()) - 1);
-  std::mutex error_mu;
-  Status first_error;
-  pool.ParallelFor(0, queries.size(), [&](size_t i) {
-    auto mode = ResolveAccess(dag_, eacm_, queries[i].subject,
-                              queries[i].object, queries[i].right, canonical,
-                              resolve_options, nullptr, nullptr,
-                              reach_index_.get());
-    if (!mode.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = mode.status();
-      return;
-    }
-    results[i] = *mode;
-  });
-  UCR_RETURN_IF_ERROR(first_error);
-  return results;
-}
-
-StatusOr<std::vector<acm::Mode>>
-AccessControlSystem::CheckAccessAllStrategies(graph::NodeId subject,
-                                              acm::ObjectId object,
-                                              acm::RightId right) {
-  if (subject >= dag_.node_count()) {
-    return Status::OutOfRange("subject id out of range");
-  }
-  if (object >= eacm_.object_count() || right >= eacm_.right_count()) {
-    return Status::OutOfRange("object/right id out of range");
-  }
-  // One indexed bag composition serves all 48 resolutions just as one
-  // classic propagation would: the bag does not depend on the strategy.
-  if (options_.use_reachability_index) {
-    EnsureReachIndexCurrent();
-    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_,
-                         FacadeResolveOptions(options_))) {
-      const std::span<const RightsEntry> bag = ComposeIndexedSinkBag(
-          *reach_index_, subject, object, right, options_.propagation_mode);
-      std::vector<acm::Mode> out;
-      out.reserve(AllStrategies().size());
-      for (const Strategy& s : AllStrategies()) {
-        out.push_back(ResolveEntries(bag, s));
-      }
-      return out;
-    }
-  }
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm_.ExtractLabels(dag_.node_count(), object, right);
-  const graph::AncestorSubgraph sub(dag_, subject);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = options_.propagation_mode;
-  const RightsBag all_rights = PropagateAggregated(sub, labels, prop_options);
-
-  std::vector<acm::Mode> out;
-  out.reserve(AllStrategies().size());
-  for (const Strategy& s : AllStrategies()) {
-    out.push_back(Resolve(all_rights, s));
-  }
-  return out;
-}
-
-StatusOr<std::vector<acm::Mode>>
-AccessControlSystem::MaterializeEffectiveColumn(acm::ObjectId object,
-                                                acm::RightId right,
-                                                const Strategy& strategy) {
-  if (object >= eacm_.object_count() || right >= eacm_.right_count()) {
-    return Status::OutOfRange("object/right id out of range");
-  }
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm_.ExtractLabels(dag_.node_count(), object, right);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = options_.propagation_mode;
-  const std::vector<RightsBag> bags =
-      PropagateWholeDag(dag_, labels, prop_options);
-
-  std::vector<acm::Mode> column;
-  column.reserve(bags.size());
-  for (const RightsBag& bag : bags) {
-    column.push_back(Resolve(bag, strategy));
-  }
-  return column;
 }
 
 // ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ class AccessControlSystem {
   const acm::ExplicitAcm& eacm() const { return eacm_; }
 
   /// The propagation extension mode every query of this system applies
-  /// (read by external engines — EffectiveMatrix, BatchResolver — so
-  /// their derivations match this system's own decisions exactly).
+  /// (read by external engines — the paper library's EffectiveMatrix —
+  /// so their derivations match this system's own decisions exactly).
   PropagationMode propagation_mode() const {
     return options_.propagation_mode;
   }
@@ -273,36 +273,12 @@ class AccessControlSystem {
   Status ApplyMutations(std::span<const MutationOp> ops,
                         MutationBatchStats* stats = nullptr);
 
-  /// One access query of a batch.
+  /// One access query of a batch (`BatchResolver`, the query streams).
   struct AccessQuery {
     graph::NodeId subject = 0;
     acm::ObjectId object = 0;
     acm::RightId right = 0;
   };
-
-  /// \brief Resolves a batch of queries under one strategy, optionally
-  /// on several threads. Results align positionally with `queries`.
-  ///
-  /// The hierarchy and the explicit matrix are immutable during the
-  /// call, so multi-threaded execution is safe: every query resolves
-  /// like `CheckAccess`, over the reachability index refreshed once up
-  /// front. `threads` = 0 or 1 runs inline.
-  StatusOr<std::vector<acm::Mode>> CheckAccessBatch(
-      std::span<const AccessQuery> queries, const Strategy& strategy,
-      size_t threads = 1);
-
-  /// Decisions for one triple under all 48 canonical strategies, in
-  /// `AllStrategies()` order. Demonstrates the parametric algorithm:
-  /// one propagation, 48 resolutions.
-  StatusOr<std::vector<acm::Mode>> CheckAccessAllStrategies(
-      graph::NodeId subject, acm::ObjectId object, acm::RightId right);
-
-  /// \brief One column of the *effective* access control matrix: the
-  /// derived mode of every subject for (object, right) under
-  /// `strategy`, indexed by node id. Computed with the whole-graph
-  /// propagation engine in one topological pass.
-  StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
-      acm::ObjectId object, acm::RightId right, const Strategy& strategy);
 
   /// \brief The reachability index for the *current* master state,
   /// building or incrementally refreshing it first (DESIGN.md §12).

@@ -172,4 +172,28 @@ uint64_t AncestorSubgraph::TotalPathLength(
   return total;
 }
 
+std::vector<std::vector<uint64_t>> AllDistanceProfiles(
+    const AncestorSubgraph& sub) {
+  // result[v][L] = number of length-L paths from v to the sink, in
+  // reverse topological order so children are final before parents.
+  const size_t n = sub.member_count();
+  std::vector<std::vector<uint64_t>> prof(n);
+  prof[sub.sink()] = {1};  // One empty path of length 0.
+  const auto topo = sub.topological_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const LocalId v = *it;
+    if (v == sub.sink()) continue;
+    std::vector<uint64_t>& out = prof[v];
+    out.assign(sub.longest_distance_to_sink(v) + 1, 0);
+    for (LocalId c : sub.children(v)) {
+      const std::vector<uint64_t>& child = prof[c];
+      for (size_t len = 0; len < child.size(); ++len) {
+        if (child[len] == 0) continue;
+        out[len + 1] = SatAdd(out[len + 1], child[len]);
+      }
+    }
+  }
+  return prof;
+}
+
 }  // namespace ucr::graph

@@ -131,6 +131,13 @@ class AncestorSubgraph {
   uint32_t depth_ = 0;
 };
 
+/// All members' distance profiles toward `sub`'s sink in one pass:
+/// `result[v][L]` = number of length-L paths from local member `v` to
+/// the sink (saturating). Shared by the explanation and mixed-hierarchy
+/// engines.
+std::vector<std::vector<uint64_t>> AllDistanceProfiles(
+    const AncestorSubgraph& sub);
+
 }  // namespace ucr::graph
 
 #endif  // UCR_GRAPH_ANCESTOR_SUBGRAPH_H_

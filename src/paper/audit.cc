@@ -1,6 +1,8 @@
-#include "core/audit.h"
+#include "paper/audit.h"
 
 #include <algorithm>
+
+#include "paper/effective_matrix.h"
 
 namespace ucr::core {
 
@@ -35,9 +37,9 @@ StatusOr<MigrationReport> CompareStrategies(AccessControlSystem& system,
                                             const CompareOptions& options) {
   UCR_ASSIGN_OR_RETURN(
       const std::vector<acm::Mode> before,
-      system.MaterializeEffectiveColumn(object, right, from));
+      MaterializeEffectiveColumn(system, object, right, from));
   UCR_ASSIGN_OR_RETURN(const std::vector<acm::Mode> after,
-                       system.MaterializeEffectiveColumn(object, right, to));
+                       MaterializeEffectiveColumn(system, object, right, to));
 
   MigrationReport report;
   report.from = from.Canonical();
@@ -69,7 +71,7 @@ StatusOr<std::vector<StrategyPermissiveness>> RankStrategies(
   for (const Strategy& s : AllStrategies()) {
     UCR_ASSIGN_OR_RETURN(
         const std::vector<acm::Mode> column,
-        system.MaterializeEffectiveColumn(object, right, s));
+        MaterializeEffectiveColumn(system, object, right, s));
     StrategyPermissiveness entry;
     entry.strategy = s;
     for (graph::NodeId v = 0; v < dag.node_count(); ++v) {

@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_AUDIT_H_
-#define UCR_CORE_AUDIT_H_
+#ifndef UCR_PAPER_AUDIT_H_
+#define UCR_PAPER_AUDIT_H_
 
 #include <string>
 #include <vector>
@@ -77,4 +77,4 @@ StatusOr<std::vector<StrategyPermissiveness>> RankStrategies(
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_AUDIT_H_
+#endif  // UCR_PAPER_AUDIT_H_

@@ -1,8 +1,10 @@
-#include "core/constraints.h"
+#include "paper/constraints.h"
 
 #include <algorithm>
 #include <map>
 #include <unordered_map>
+
+#include "paper/effective_matrix.h"
 
 namespace ucr::core {
 
@@ -82,7 +84,7 @@ StatusOr<std::vector<ConstraintViolation>> AuditConstraints(
     if (it == columns.end()) {
       UCR_ASSIGN_OR_RETURN(
           std::vector<acm::Mode> column,
-          system.MaterializeEffectiveColumn(p.object, p.right, strategy));
+          MaterializeEffectiveColumn(system, p.object, p.right, strategy));
       it = columns.emplace(PermissionKey(p), std::move(column)).first;
     }
     return &it->second;

@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_CONSTRAINTS_H_
-#define UCR_CORE_CONSTRAINTS_H_
+#ifndef UCR_PAPER_CONSTRAINTS_H_
+#define UCR_PAPER_CONSTRAINTS_H_
 
 #include <string>
 #include <vector>
@@ -102,4 +102,4 @@ StatusOr<std::vector<ConstraintViolation>> AuditConstraints(
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_CONSTRAINTS_H_
+#endif  // UCR_PAPER_CONSTRAINTS_H_

@@ -1,4 +1,4 @@
-#include "core/dominance.h"
+#include "paper/dominance.h"
 
 #include <cassert>
 #include <optional>

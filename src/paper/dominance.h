@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_DOMINANCE_H_
-#define UCR_CORE_DOMINANCE_H_
+#ifndef UCR_PAPER_DOMINANCE_H_
+#define UCR_PAPER_DOMINANCE_H_
 
 #include <cstdint>
 
@@ -100,4 +100,4 @@ StatusOr<acm::Mode> DominanceAccess(const graph::Dag& dag,
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_DOMINANCE_H_
+#endif  // UCR_PAPER_DOMINANCE_H_

@@ -1,4 +1,4 @@
-#include "core/effective_matrix.h"
+#include "paper/effective_matrix.h"
 
 #include <algorithm>
 
@@ -36,6 +36,29 @@ MatrixMetrics& GetMatrixMetrics() {
 }
 
 }  // namespace
+
+StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
+    const AccessControlSystem& system, acm::ObjectId object,
+    acm::RightId right, const Strategy& strategy) {
+  const graph::Dag& dag = system.dag();
+  const acm::ExplicitAcm& eacm = system.eacm();
+  if (object >= eacm.object_count() || right >= eacm.right_count()) {
+    return Status::OutOfRange("object/right id out of range");
+  }
+  const std::vector<std::optional<acm::Mode>> labels =
+      eacm.ExtractLabels(dag.node_count(), object, right);
+  PropagateOptions prop_options;
+  prop_options.propagation_mode = system.propagation_mode();
+  const std::vector<RightsBag> bags =
+      PropagateWholeDag(dag, labels, prop_options);
+
+  std::vector<acm::Mode> column;
+  column.reserve(bags.size());
+  for (const RightsBag& bag : bags) {
+    column.push_back(Resolve(bag, strategy));
+  }
+  return column;
+}
 
 StatusOr<EffectiveMatrix> EffectiveMatrix::MaterializeFrom(
     const graph::Dag& dag, const acm::ExplicitAcm& eacm, PropagationMode mode,

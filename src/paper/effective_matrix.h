@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_EFFECTIVE_MATRIX_H_
-#define UCR_CORE_EFFECTIVE_MATRIX_H_
+#ifndef UCR_PAPER_EFFECTIVE_MATRIX_H_
+#define UCR_PAPER_EFFECTIVE_MATRIX_H_
 
 #include <cstdint>
 #include <span>
@@ -16,6 +16,16 @@
 #include "util/status.h"
 
 namespace ucr::core {
+
+/// \brief One column of the *effective* access control matrix: the
+/// derived mode of every subject of `system` for (object, right) under
+/// `strategy` and the system's propagation mode, indexed by node id.
+/// Computed with the whole-graph propagation engine in one topological
+/// pass (the reference derivation the strategy-migration audit and the
+/// constraint checker read).
+StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
+    const AccessControlSystem& system, acm::ObjectId object,
+    acm::RightId right, const Strategy& strategy);
 
 /// \brief A fully materialized effective access control matrix for one
 /// strategy — the design point of Jajodia et al. the paper's §5
@@ -169,4 +179,4 @@ class EffectiveMatrix {
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_EFFECTIVE_MATRIX_H_
+#endif  // UCR_PAPER_EFFECTIVE_MATRIX_H_

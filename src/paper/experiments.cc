@@ -1,4 +1,4 @@
-#include "workload/experiments.h"
+#include "paper/experiments.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,11 +6,11 @@
 
 #include "acm/acm.h"
 #include "acm/assignment.h"
-#include "core/dominance.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/dominance.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"

@@ -1,5 +1,5 @@
-#ifndef UCR_WORKLOAD_EXPERIMENTS_H_
-#define UCR_WORKLOAD_EXPERIMENTS_H_
+#ifndef UCR_PAPER_EXPERIMENTS_H_
+#define UCR_PAPER_EXPERIMENTS_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -120,4 +120,4 @@ StatusOr<EnterpriseExperimentResult> RunEnterpriseExperiment(
 
 }  // namespace ucr::workload
 
-#endif  // UCR_WORKLOAD_EXPERIMENTS_H_
+#endif  // UCR_PAPER_EXPERIMENTS_H_

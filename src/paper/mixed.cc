@@ -1,4 +1,4 @@
-#include "core/mixed.h"
+#include "paper/mixed.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -14,10 +14,6 @@ using acm::Mode;
 using acm::PropagatedMode;
 using graph::AncestorSubgraph;
 using graph::LocalId;
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
-}
 
 uint64_t SatMul(uint64_t a, uint64_t b) {
   if (a == 0 || b == 0) return 0;
@@ -59,32 +55,7 @@ std::vector<uint64_t> DistanceProfile(const graph::Dag& dag,
   const AncestorSubgraph sub(dag, sink);
   const LocalId local = sub.ToLocal(source);
   if (local == graph::kInvalidNode) return {};
-  return AllDistanceProfiles(sub)[local];
-}
-
-std::vector<std::vector<uint64_t>> AllDistanceProfiles(
-    const AncestorSubgraph& sub) {
-  // result[v][L] = number of length-L paths from v to the sink
-  // (saturating counts), in reverse topological order so children are
-  // final before their parents.
-  const size_t n = sub.member_count();
-  std::vector<std::vector<uint64_t>> prof(n);
-  prof[sub.sink()] = {1};  // One empty path of length 0.
-  const auto topo = sub.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const LocalId v = *it;
-    if (v == sub.sink()) continue;
-    std::vector<uint64_t>& out = prof[v];
-    out.assign(sub.longest_distance_to_sink(v) + 1, 0);
-    for (LocalId c : sub.children(v)) {
-      const std::vector<uint64_t>& child = prof[c];
-      for (size_t len = 0; len < child.size(); ++len) {
-        if (child[len] == 0) continue;
-        out[len + 1] = SatAdd(out[len + 1], child[len]);
-      }
-    }
-  }
-  return prof;
+  return graph::AllDistanceProfiles(sub)[local];
 }
 
 StatusOr<RightsBag> MixedPropagate(
@@ -101,8 +72,10 @@ StatusOr<RightsBag> MixedPropagate(
 
   const AncestorSubgraph sub_s(subject_dag, subject);
   const AncestorSubgraph sub_o(object_dag, object);
-  const std::vector<std::vector<uint64_t>> prof_s = AllDistanceProfiles(sub_s);
-  const std::vector<std::vector<uint64_t>> prof_o = AllDistanceProfiles(sub_o);
+  const std::vector<std::vector<uint64_t>> prof_s =
+      graph::AllDistanceProfiles(sub_s);
+  const std::vector<std::vector<uint64_t>> prof_o =
+      graph::AllDistanceProfiles(sub_o);
   if (stats != nullptr) {
     *stats = MixedPropagateStats{};
     stats->profile_entries =

@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_MIXED_H_
-#define UCR_CORE_MIXED_H_
+#ifndef UCR_PAPER_MIXED_H_
+#define UCR_PAPER_MIXED_H_
 
 #include <cstdint>
 #include <optional>
@@ -8,9 +8,9 @@
 #include "acm/acm.h"
 #include "acm/mode.h"
 #include "core/resolve.h"
-#include "graph/ancestor_subgraph.h"
 #include "core/rights_bag.h"
 #include "core/strategy.h"
+#include "graph/ancestor_subgraph.h"
 #include "graph/dag.h"
 #include "util/status.h"
 
@@ -94,12 +94,6 @@ std::vector<uint64_t> DistanceProfile(const graph::Dag& dag,
                                       graph::NodeId source,
                                       graph::NodeId sink);
 
-/// All members' distance profiles toward `sub`'s sink in one pass:
-/// `result[v][L]` = number of length-L paths from local member `v` to
-/// the sink. Shared by the mixed-hierarchy and explanation engines.
-std::vector<std::vector<uint64_t>> AllDistanceProfiles(
-    const graph::AncestorSubgraph& sub);
-
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_MIXED_H_
+#endif  // UCR_PAPER_MIXED_H_

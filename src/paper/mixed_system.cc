@@ -1,4 +1,4 @@
-#include "core/mixed_system.h"
+#include "paper/mixed_system.h"
 
 #include <algorithm>
 #include <sstream>

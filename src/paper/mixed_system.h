@@ -1,14 +1,14 @@
-#ifndef UCR_CORE_MIXED_SYSTEM_H_
-#define UCR_CORE_MIXED_SYSTEM_H_
+#ifndef UCR_PAPER_MIXED_SYSTEM_H_
+#define UCR_PAPER_MIXED_SYSTEM_H_
 
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "core/mixed.h"
 #include "core/strategy.h"
 #include "graph/dag.h"
+#include "paper/mixed.h"
 #include "util/status.h"
 
 namespace ucr::core {
@@ -16,7 +16,7 @@ namespace ucr::core {
 /// \brief Facade over *mixed* subject+object hierarchies: the
 /// user-facing counterpart of `AccessControlSystem` for deployments
 /// where objects nest too (paper §6 future-work #2; semantics in
-/// core/mixed.h).
+/// paper/mixed.h).
 ///
 /// Authorizations attach to ⟨subject, object, right⟩ where both the
 /// subject and the object are nodes of their respective DAGs. Rights
@@ -114,4 +114,4 @@ StatusOr<MixedAccessControlSystem> LoadMixedSystemFromText(
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_MIXED_SYSTEM_H_
+#endif  // UCR_PAPER_MIXED_SYSTEM_H_

@@ -1,4 +1,4 @@
-#include "core/paper_example.h"
+#include "paper/paper_example.h"
 
 #include <cstdlib>
 

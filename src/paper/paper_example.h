@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_PAPER_EXAMPLE_H_
-#define UCR_CORE_PAPER_EXAMPLE_H_
+#ifndef UCR_PAPER_PAPER_EXAMPLE_H_
+#define UCR_PAPER_PAPER_EXAMPLE_H_
 
 #include "acm/acm.h"
 #include "graph/dag.h"
@@ -43,4 +43,4 @@ PaperExample MakeRefereeExample();
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_PAPER_EXAMPLE_H_
+#endif  // UCR_PAPER_PAPER_EXAMPLE_H_

@@ -1,4 +1,4 @@
-#include "core/relalg_impl.h"
+#include "paper/relalg_impl.h"
 
 #include <optional>
 #include <vector>

@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_RELALG_IMPL_H_
-#define UCR_CORE_RELALG_IMPL_H_
+#ifndef UCR_PAPER_RELALG_IMPL_H_
+#define UCR_PAPER_RELALG_IMPL_H_
 
 #include <string>
 #include <string_view>
@@ -84,4 +84,4 @@ StatusOr<RightsBag> RelationToRightsBag(const relalg::Relation& all_rights);
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_RELALG_IMPL_H_
+#endif  // UCR_PAPER_RELALG_IMPL_H_

@@ -1,4 +1,4 @@
-#include "core/weak_strong.h"
+#include "paper/weak_strong.h"
 
 #include <optional>
 #include <vector>

@@ -1,5 +1,5 @@
-#ifndef UCR_CORE_WEAK_STRONG_H_
-#define UCR_CORE_WEAK_STRONG_H_
+#ifndef UCR_PAPER_WEAK_STRONG_H_
+#define UCR_PAPER_WEAK_STRONG_H_
 
 #include <vector>
 
@@ -54,4 +54,4 @@ StatusOr<acm::Mode> WeakStrongDecide(
 
 }  // namespace ucr::core
 
-#endif  // UCR_CORE_WEAK_STRONG_H_
+#endif  // UCR_PAPER_WEAK_STRONG_H_

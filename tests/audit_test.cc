@@ -1,13 +1,14 @@
-#include "core/audit.h"
+#include "paper/audit.h"
 
 #include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
 #include "core/system.h"
+#include "paper/effective_matrix.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {
@@ -64,7 +65,7 @@ TEST(CompareStrategiesTest, CountsMatchEffectiveColumns) {
   ASSERT_TRUE(report.ok());
 
   auto count_granted_sinks = [&](const Strategy& s) {
-    auto column = system.MaterializeEffectiveColumn(obj, read, s).value();
+    auto column = MaterializeEffectiveColumn(system, obj, read, s).value();
     size_t granted = 0;
     for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
       if (system.dag().is_sink(v) && column[v] == Mode::kPositive) ++granted;

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
+#include "paper/paper_example.h"
 #include "util/crc32.h"
 #include "util/random.h"
 #include "workload/enterprise.h"

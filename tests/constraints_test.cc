@@ -1,4 +1,4 @@
-#include "core/constraints.h"
+#include "paper/constraints.h"
 
 #include <gtest/gtest.h>
 

@@ -15,6 +15,7 @@
 #include "core/strategy.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "paper/literal.h"
 #include "util/random.h"
 
 namespace ucr::core {
@@ -62,8 +63,6 @@ TEST(DiamondDepthTest, IndexedMatchesAllOraclesWhereAllCanRun) {
     ResolveAccessOptions indexed_options;
     ResolveAccessOptions classic_options;
     classic_options.use_reachability_index = false;
-    ResolveAccessOptions literal_options;
-    literal_options.use_literal_engine = true;
     for (graph::NodeId v = 0; v < f.dag.node_count(); ++v) {
       for (const Strategy& strategy : AllStrategies()) {
         SCOPED_TRACE("k=" + std::to_string(k) + " " +
@@ -78,8 +77,8 @@ TEST(DiamondDepthTest, IndexedMatchesAllOraclesWhereAllCanRun) {
             ResolveAccess(f.dag, f.eacm, v, f.object, f.right, strategy,
                           classic_options, &classic_trace);
         const auto literal =
-            ResolveAccess(f.dag, f.eacm, v, f.object, f.right, strategy,
-                          literal_options, &literal_trace);
+            ResolveLiteral(f.dag, f.eacm, v, f.object, f.right, strategy,
+                           PropagationMode::kBoth, UINT64_MAX, &literal_trace);
         ASSERT_TRUE(indexed.ok());
         ASSERT_TRUE(classic.ok());
         ASSERT_TRUE(literal.ok());
@@ -98,11 +97,9 @@ TEST(DiamondDepthTest, LiteralEngineIsBudgetCappedWhereIndexAnswers) {
   // query through the index is a two-entry bag composition.
   constexpr size_t k = 64;
   DiamondFixture f = MakeFixture(k);
-  ResolveAccessOptions literal_options;
-  literal_options.use_literal_engine = true;
-  literal_options.literal_max_tuples = uint64_t{1} << 20;
-  const auto capped = ResolveAccess(f.dag, f.eacm, f.sink, f.object, f.right,
-                                    Strategy{}, literal_options);
+  const auto capped =
+      ResolveLiteral(f.dag, f.eacm, f.sink, f.object, f.right, Strategy{},
+                     PropagationMode::kBoth, uint64_t{1} << 20);
   ASSERT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kFailedPrecondition);
 

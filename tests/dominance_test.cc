@@ -1,13 +1,13 @@
-#include "core/dominance.h"
+#include "paper/dominance.h"
 
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {

@@ -1,9 +1,9 @@
-#include "core/effective_matrix.h"
+#include "paper/effective_matrix.h"
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "acm/assignment.h"
+#include "core/batch_resolver.h"
 #include "core/storage.h"
 #include "graph/io.h"
 #include "core/system.h"
+#include "paper/effective_matrix.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 #include "workload/query_stream.h"
@@ -59,8 +61,15 @@ TEST(EnterpriseScaleTest, ParallelBatchEqualsSerialOnRealWorkload) {
   ASSERT_TRUE(queries.ok());
 
   const Strategy s = core::ParseStrategy("D+LP-").value();
-  auto serial = system.CheckAccessBatch(*queries, s, 1);
-  auto parallel = system.CheckAccessBatch(*queries, s, 8);
+  system.EnableSnapshotReads();
+  const core::SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+  core::BatchResolverOptions serial_options;
+  core::BatchResolverOptions parallel_options;
+  parallel_options.threads = 8;
+  auto serial =
+      core::BatchResolver(*pin, serial_options).ResolveBatch(*queries, s);
+  auto parallel =
+      core::BatchResolver(*pin, parallel_options).ResolveBatch(*queries, s);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(*serial, *parallel);
@@ -72,7 +81,7 @@ TEST(EnterpriseScaleTest, EffectiveColumnAgreesWithScalarQueries) {
   const acm::RightId r = system.eacm().FindRight("open").value();
   for (const char* mnemonic : {"D-GMP+", "MLP-", "D+LP-"}) {
     const Strategy s = core::ParseStrategy(mnemonic).value();
-    auto column = system.MaterializeEffectiveColumn(o, r, s);
+    auto column = core::MaterializeEffectiveColumn(system, o, r, s);
     ASSERT_TRUE(column.ok());
     // Sample every 37th subject (full sweep is the benches' job).
     for (graph::NodeId v = 0; v < system.dag().node_count(); v += 37) {

@@ -1,4 +1,4 @@
-#include "workload/experiments.h"
+#include "paper/experiments.h"
 
 #include <gtest/gtest.h>
 

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {

@@ -12,8 +12,6 @@
 
 #include "acm/acm.h"
 #include "core/batch_resolver.h"
-#include "core/effective_matrix.h"
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
@@ -22,6 +20,9 @@
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "paper/effective_matrix.h"
+#include "paper/literal.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {
@@ -86,8 +87,6 @@ void ExpectEnginesAgree(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     fast.propagation_mode = mode;
     ResolveAccessOptions classic = fast;
     classic.use_fast_path = false;
-    ResolveAccessOptions literal = fast;
-    literal.use_literal_engine = true;
     for (graph::NodeId v = 0; v < dag.node_count(); ++v) {
       for (const Strategy& strategy : AllStrategies()) {
         SCOPED_TRACE(std::string(strategy.ToMnemonic()) + " mode " +
@@ -111,8 +110,8 @@ void ExpectEnginesAgree(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
         if (check_literal) {
           ResolveTrace literal_trace;
           const auto literal_mode =
-              ResolveAccess(dag, eacm, v, column.object, column.right,
-                            strategy, literal, &literal_trace);
+              ResolveLiteral(dag, eacm, v, column.object, column.right,
+                             strategy, mode, UINT64_MAX, &literal_trace);
           ASSERT_TRUE(literal_mode.ok());
           ASSERT_EQ(*fast_mode, *literal_mode);
           ExpectTraceEq(fast_trace, literal_trace);

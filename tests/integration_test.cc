@@ -11,11 +11,13 @@
 
 #include "acm/acm.h"
 #include "acm/assignment.h"
-#include "core/dominance.h"
-#include "core/relalg_impl.h"
 #include "core/resolve.h"
 #include "core/system.h"
 #include "graph/io.h"
+#include "paper/dominance.h"
+#include "paper/effective_matrix.h"
+#include "paper/literal.h"
+#include "paper/relalg_impl.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 
@@ -170,10 +172,7 @@ TEST(IntegrationTest, EnterpriseCrossEngineAgreement) {
     for (const char* mnemonic : {"D+LP-", "D-LP+", "LP-"}) {
       const Strategy s = ParseStrategy(mnemonic).value();
       auto aggregated = core::ResolveAccess(*dag, eacm, sink, o, r, s);
-      core::ResolveAccessOptions literal_opt;
-      literal_opt.use_literal_engine = true;
-      auto literal =
-          core::ResolveAccess(*dag, eacm, sink, o, r, s, literal_opt);
+      auto literal = core::ResolveLiteral(*dag, eacm, sink, o, r, s);
       auto dominance = core::DominanceAccess(*dag, eacm, sink, o, r,
                                              s.default_rule,
                                              s.preference_rule);
@@ -196,7 +195,7 @@ TEST(IntegrationTest, EffectiveColumnConsistentWithRelalgReference) {
   const acm::ObjectId wiki = system.eacm().FindObject("wiki").value();
   const acm::RightId edit = system.eacm().FindRight("edit").value();
   const Strategy s = ParseStrategy("D-LP-").value();
-  auto column = system.MaterializeEffectiveColumn(wiki, edit, s);
+  auto column = core::MaterializeEffectiveColumn(system, wiki, edit, s);
   ASSERT_TRUE(column.ok());
 
   for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {

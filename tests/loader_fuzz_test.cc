@@ -12,11 +12,11 @@
 
 #include "acm/acm.h"
 #include "core/binary_snapshot.h"
-#include "core/mixed_system.h"
-#include "core/paper_example.h"
 #include "core/storage.h"
 #include "core/system.h"
 #include "graph/io.h"
+#include "paper/mixed_system.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 #include "util/string_util.h"
 

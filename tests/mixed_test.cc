@@ -1,4 +1,4 @@
-#include "core/mixed.h"
+#include "paper/mixed.h"
 
 #include <functional>
 #include <map>
@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {

@@ -20,13 +20,13 @@
 
 #include "acm/mode.h"
 #include "core/batch_resolver.h"
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/dag.h"
 #include "obs/shadow.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 

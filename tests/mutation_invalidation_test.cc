@@ -14,11 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/system.h"
 #include "graph/dag.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {

@@ -19,9 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/system.h"
 #include "obs/metrics.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

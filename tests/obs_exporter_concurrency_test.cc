@@ -19,11 +19,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/system.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

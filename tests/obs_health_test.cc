@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "obs/audit_log.h"
@@ -20,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/shadow.h"
 #include "obs/timeseries.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

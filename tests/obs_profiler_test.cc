@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "core/system.h"
@@ -40,6 +39,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::obs {

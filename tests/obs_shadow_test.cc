@@ -14,12 +14,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

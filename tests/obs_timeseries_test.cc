@@ -13,11 +13,11 @@
 #include <string>
 #include <thread>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "obs/http_exporter.h"
 #include "obs/trace.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

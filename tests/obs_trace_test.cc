@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "obs/metrics.h"
+#include "paper/paper_example.h"
 
 namespace ucr::obs {
 namespace {

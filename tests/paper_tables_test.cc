@@ -15,11 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "acm/mode.h"
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/ancestor_subgraph.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {

@@ -1,6 +1,6 @@
 // Differential tests for the parallel query-evaluation layer: every
 // parallel path (EffectiveMatrix::Materialize/Refresh with threads,
-// BatchResolver over a pinned snapshot, CheckAccessBatch) must produce
+// BatchResolver over a pinned snapshot) must produce
 // decisions bit-identical to the serial engines — for all 48 canonical
 // strategies, on the paper's Fig. 1 example and on a generated
 // enterprise hierarchy.
@@ -10,14 +10,14 @@
 #include <vector>
 
 #include "core/batch_resolver.h"
-#include "core/effective_matrix.h"
-#include "core/paper_example.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
+#include "obs/metrics.h"
+#include "paper/effective_matrix.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
-#include "obs/metrics.h"
 #include "workload/query_stream.h"
 
 namespace ucr::core {
@@ -175,23 +175,6 @@ TEST(ParallelDifferentialTest, ParallelRefreshMatchesSerialRefresh) {
                   serial->Lookup(v, o, r).value());
       }
     }
-  }
-}
-
-TEST(ParallelDifferentialTest, CheckAccessBatchParallelMatchesInline) {
-  AccessControlSystem system = MakeEnterpriseSystem();
-  workload::QueryStreamOptions stream;
-  stream.count = 500;
-  stream.seed = 23;
-  auto queries =
-      workload::GenerateQueryStream(system.dag(), system.eacm(), stream);
-  ASSERT_TRUE(queries.ok());
-  for (const char* mnemonic : {"D+LP-", "D-GMP+", "MP-", "P+"}) {
-    auto inline_results = system.CheckAccessBatch(*queries, S(mnemonic), 1);
-    auto parallel_results = system.CheckAccessBatch(*queries, S(mnemonic), 4);
-    ASSERT_TRUE(inline_results.ok());
-    ASSERT_TRUE(parallel_results.ok());
-    EXPECT_EQ(*inline_results, *parallel_results) << mnemonic;
   }
 }
 

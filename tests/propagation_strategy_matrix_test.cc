@@ -10,6 +10,7 @@
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "graph/generators.h"
+#include "paper/literal.h"
 #include "util/random.h"
 
 namespace ucr::core {
@@ -58,13 +59,11 @@ TEST_P(PropagationStrategyMatrixTest, EnginesAgreeEndToEnd) {
 
     ResolveAccessOptions aggregated;
     aggregated.propagation_mode = mode;
-    ResolveAccessOptions literal = aggregated;
-    literal.use_literal_engine = true;
 
     for (graph::NodeId sink : dag->Sinks()) {
       for (const Strategy& s : AllStrategies()) {
         auto a = ResolveAccess(*dag, eacm, sink, o, r, s, aggregated);
-        auto b = ResolveAccess(*dag, eacm, sink, o, r, s, literal);
+        auto b = ResolveLiteral(*dag, eacm, sink, o, r, s, mode);
         ASSERT_TRUE(a.ok());
         ASSERT_TRUE(b.ok());
         ASSERT_EQ(*a, *b) << "trial " << trial << " sink "

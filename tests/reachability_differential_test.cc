@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 

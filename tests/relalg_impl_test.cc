@@ -4,18 +4,18 @@
 // strategies is the strongest evidence that the native implementation
 // faithfully realizes the published pseudocode.
 
-#include "core/relalg_impl.h"
+#include "paper/relalg_impl.h"
 
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "graph/ancestor_subgraph.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
+#include "paper/literal.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {
@@ -151,10 +152,8 @@ TEST(ResolveAccessTest, EndToEndOnPaperExample) {
   ASSERT_TRUE(mode.ok());
   EXPECT_EQ(*mode, Mode::kPositive);
 
-  ResolveAccessOptions literal;
-  literal.use_literal_engine = true;
-  auto mode2 = ResolveAccess(ex.dag, ex.eacm, ex.user, ex.obj, ex.read,
-                             S("D+LMP+"), literal);
+  auto mode2 = ResolveLiteral(ex.dag, ex.eacm, ex.user, ex.obj, ex.read,
+                              S("D+LMP+"));
   ASSERT_TRUE(mode2.ok());
   EXPECT_EQ(*mode2, *mode);
 }
@@ -177,11 +176,9 @@ TEST(ResolveAccessTest, ValidatesIds) {
 
 TEST(ResolveAccessTest, LiteralBudgetSurfaces) {
   const PaperExample ex = MakePaperExample();
-  ResolveAccessOptions options;
-  options.use_literal_engine = true;
-  options.literal_max_tuples = 2;  // Table 4 needs 15.
-  EXPECT_EQ(ResolveAccess(ex.dag, ex.eacm, ex.user, ex.obj, ex.read, S("P-"),
-                          options)
+  // Table 4 needs 15 tuples; a budget of 2 must refuse.
+  EXPECT_EQ(ResolveLiteral(ex.dag, ex.eacm, ex.user, ex.obj, ex.read, S("P-"),
+                           PropagationMode::kBoth, /*max_tuples=*/2)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);

@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/propagate.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
 

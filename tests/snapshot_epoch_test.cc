@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/snapshot.h"
 #include "core/strategy.h"
@@ -22,6 +21,7 @@
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "graph/reachability.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
 #include "core/strategy.h"
+#include "paper/paper_example.h"
 #include "util/fs.h"
 
 namespace ucr::core {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper_example.h"
+#include "core/batch_resolver.h"
 #include "graph/dag.h"
+#include "paper/effective_matrix.h"
+#include "paper/paper_example.h"
 
 namespace ucr::core {
 namespace {
@@ -19,6 +21,19 @@ AccessControlSystem MakePaperSystem() {
   EXPECT_TRUE(system.Grant("S4", "obj", "read").ok());
   EXPECT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
   return system;
+}
+
+/// Resolves `queries` with a `BatchResolver` of `threads` executors
+/// bound to the system's currently published snapshot.
+StatusOr<std::vector<Mode>> ResolveOnSnapshot(
+    const AccessControlSystem& system,
+    std::span<const BatchResolver::Query> queries, const Strategy& strategy,
+    size_t threads) {
+  const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+  BatchResolverOptions options;
+  options.threads = threads;
+  BatchResolver resolver(*pin, options);
+  return resolver.ResolveBatch(queries, strategy);
 }
 
 TEST(SystemTest, CheckAccessUnderExplicitStrategy) {
@@ -72,27 +87,12 @@ TEST(SystemTest, RevokeChangesDecision) {
             Mode::kPositive);
 }
 
-TEST(SystemTest, CheckAccessAllStrategiesMatchesIndividualQueries) {
-  AccessControlSystem system = MakePaperSystem();
-  const graph::NodeId user = system.dag().FindNode("User");
-  const acm::ObjectId obj = system.eacm().FindObject("obj").value();
-  const acm::RightId read = system.eacm().FindRight("read").value();
-  auto all = system.CheckAccessAllStrategies(user, obj, read);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 48u);
-  for (size_t i = 0; i < AllStrategies().size(); ++i) {
-    EXPECT_EQ((*all)[i],
-              system.CheckAccess(user, obj, read, AllStrategies()[i]).value())
-        << AllStrategies()[i].ToMnemonic();
-  }
-}
-
 TEST(SystemTest, EffectiveColumnMatchesPerSubjectResolution) {
   AccessControlSystem system = MakePaperSystem();
   const acm::ObjectId obj = system.eacm().FindObject("obj").value();
   const acm::RightId read = system.eacm().FindRight("read").value();
   const Strategy s = S("D-LMP+");
-  auto column = system.MaterializeEffectiveColumn(obj, read, s);
+  auto column = MaterializeEffectiveColumn(system, obj, read, s);
   ASSERT_TRUE(column.ok());
   ASSERT_EQ(column->size(), system.dag().node_count());
   for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
@@ -103,7 +103,7 @@ TEST(SystemTest, EffectiveColumnMatchesPerSubjectResolution) {
 
 TEST(SystemTest, EffectiveColumnValidatesIds) {
   AccessControlSystem system = MakePaperSystem();
-  EXPECT_EQ(system.MaterializeEffectiveColumn(99, 0, S("P-")).status().code(),
+  EXPECT_EQ(MaterializeEffectiveColumn(system, 99, 0, S("P-")).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -175,26 +175,31 @@ TEST(SystemTest, PropagationModeOptionFlowsThroughFacade) {
   // The effective column and the batch path agree with the mode.
   const acm::ObjectId obj = system.eacm().FindObject("obj").value();
   const acm::RightId read = system.eacm().FindRight("read").value();
-  auto column = system.MaterializeEffectiveColumn(obj, read, S("GP+"));
+  auto column = MaterializeEffectiveColumn(system, obj, read, S("GP+"));
   ASSERT_TRUE(column.ok());
   EXPECT_EQ((*column)[system.dag().FindNode("s")], Mode::kNegative);
-  const std::vector<AccessControlSystem::AccessQuery> queries{
+  system.EnableSnapshotReads();
+  const std::vector<BatchResolver::Query> queries{
       {system.dag().FindNode("s"), obj, read}};
-  EXPECT_EQ(system.CheckAccessBatch(queries, S("GP+"), 2)->front(),
-            Mode::kNegative);
+  for (const size_t threads : {1u, 4u}) {
+    EXPECT_EQ(ResolveOnSnapshot(system, queries, S("GP+"), threads)->front(),
+              Mode::kNegative)
+        << threads << " threads";
+  }
 }
 
 TEST(SystemTest, BatchMatchesIndividualQueries) {
   AccessControlSystem system = MakePaperSystem();
   const acm::ObjectId obj = system.eacm().FindObject("obj").value();
   const acm::RightId read = system.eacm().FindRight("read").value();
-  std::vector<AccessControlSystem::AccessQuery> queries;
+  std::vector<BatchResolver::Query> queries;
   for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
     queries.push_back({v, obj, read});
   }
   const Strategy s = S("D-LMP+");
-  auto serial = system.CheckAccessBatch(queries, s, /*threads=*/1);
-  auto parallel = system.CheckAccessBatch(queries, s, /*threads=*/4);
+  system.EnableSnapshotReads();
+  auto serial = ResolveOnSnapshot(system, queries, s, /*threads=*/1);
+  auto parallel = ResolveOnSnapshot(system, queries, s, /*threads=*/4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial->size(), queries.size());
@@ -208,10 +213,13 @@ TEST(SystemTest, BatchMatchesIndividualQueries) {
 
 TEST(SystemTest, BatchValidatesUpFront) {
   AccessControlSystem system = MakePaperSystem();
-  const std::vector<AccessControlSystem::AccessQuery> bad{{999, 0, 0}};
-  EXPECT_EQ(system.CheckAccessBatch(bad, S("P-"), 4).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_TRUE(system.CheckAccessBatch({}, S("P-"), 4)->empty());
+  system.EnableSnapshotReads();
+  const std::vector<BatchResolver::Query> bad{{999, 0, 0}};
+  for (const size_t threads : {1u, 4u}) {
+    EXPECT_EQ(ResolveOnSnapshot(system, bad, S("P-"), threads).status().code(),
+              StatusCode::kOutOfRange);
+    EXPECT_TRUE(ResolveOnSnapshot(system, {}, S("P-"), threads)->empty());
+  }
 }
 
 TEST(SystemTest, ExplicitLabelAlwaysWinsUnderMostSpecific) {

@@ -1,11 +1,11 @@
-#include "core/weak_strong.h"
+#include "paper/weak_strong.h"
 
 #include <gtest/gtest.h>
 
 #include "acm/acm.h"
-#include "core/paper_example.h"
 #include "core/resolve.h"
 #include "graph/generators.h"
+#include "paper/paper_example.h"
 #include "util/random.h"
 
 namespace ucr::core {
