@@ -1,5 +1,6 @@
 #include "core/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <thread>
@@ -291,6 +292,13 @@ StatusOr<acm::Mode> SnapshotResolveAccess(const HierarchySnapshot& snapshot,
 
 // ---------------------------------------------------------------------------
 // BuildSnapshot
+
+size_t NextResolutionCapacity(size_t live_entries) {
+  constexpr size_t kMin = size_t{1} << 10;
+  constexpr size_t kMax = size_t{1} << 22;
+  // A table never holds more than kMax entries, so 2x cannot overflow.
+  return std::clamp(std::bit_ceil(2 * live_entries), kMin, kMax);
+}
 
 std::unique_ptr<const HierarchySnapshot> BuildSnapshot(
     const graph::Dag& dag, const acm::ExplicitAcm& eacm,

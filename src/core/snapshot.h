@@ -310,6 +310,18 @@ struct SnapshotBuildStats {
   size_t resolution_dropped = 0;   ///< Decisions invalidated by the delta.
 };
 
+/// \brief Decision-table slots for the snapshot that follows one whose
+/// table holds `live_entries`.
+///
+/// Two slots per entry, rounded up to a power of two and clamped to
+/// [2^10, 2^22]: the carried entries fill at most half of the new
+/// table, which leaves the next epoch's misses at least a quarter of it
+/// below the 3/4 load stop (a table that does fill grows at the next
+/// publish), and a table whose entries were invalidated shrinks with
+/// them instead of staying at its high-water size (every publish
+/// allocates, scans and retires a whole table).
+size_t NextResolutionCapacity(size_t live_entries);
+
 /// \brief Builds the next `HierarchySnapshot` from the writer's master
 /// state, warming its decision table from `previous` (may be null).
 ///

@@ -498,10 +498,9 @@ size_t AccessControlSystem::PublishSnapshotLocked() {
   // retires snapshots — but it documents the lifetime and keeps the
   // reader gauge honest about the writer's read.
   const SnapshotManager::ReadPin previous = state.manager.Pin();
-  if (previous &&
-      previous->resolution.size() * 2 >= previous->resolution.capacity() &&
-      state.resolution_capacity < (size_t{1} << 22)) {
-    state.resolution_capacity *= 2;
+  if (previous) {
+    state.resolution_capacity =
+        NextResolutionCapacity(previous->resolution.size());
   }
   // The published snapshot carries the index generation matching its
   // (dag, eacm) copy, so snapshot readers compose indexed bags

@@ -342,9 +342,9 @@ class AccessControlSystem {
     /// the `ucr_write_lock_*` family — never taken by readers.
     std::mutex write_mu;
     SnapshotManager manager;
-    /// Resolution-table slots for the next snapshot; doubled when a
-    /// published table fills past half, so steady-state stores stop
-    /// being skipped.
+    /// Resolution-table slots for the next snapshot: 2^14 for the
+    /// first, then sized from the entries the current one holds
+    /// (`NextResolutionCapacity`).
     size_t resolution_capacity = size_t{1} << 14;
     /// Mutations applied since the last publication (drives the
     /// `ucr_epoch_lag` gauge; nonzero only mid-batch).

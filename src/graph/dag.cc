@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace ucr::graph {
 
@@ -20,6 +22,10 @@ size_t NameDeltaBound(size_t base) {
   return std::max(kMinNameDelta,
                   static_cast<size_t>(std::sqrt(static_cast<double>(base))));
 }
+
+/// Nodes or edges from which `Dag::FromCsr` runs its passes on a thread
+/// pool: below it, a pool's start-up costs more than the passes save.
+constexpr size_t kParallelCsrSize = size_t{1} << 15;
 
 /// Kahn's algorithm with a FIFO queue over `n` nodes: `parents_of(v)`
 /// and `children_of(v)` give the adjacency. The output vector is the
@@ -223,76 +229,106 @@ StatusOr<Dag> Dag::FromCsr(std::vector<std::string> names,
     if (id >= n) return corrupt("parent id out of range");
   }
 
-  // The two adjacency directions must describe the same edge set with
-  // no duplicates or self-loops; a file that breaks the mirror would
-  // desynchronize every traversal that mixes directions (Kahn's
-  // indegrees vs child expansion, ancestor vs descendant sweeps).
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t i = child_offsets[v]; i < child_offsets[v + 1]; ++i) {
-      if (children[i] == v) return corrupt("self-loop");
-    }
-  }
-  // Transpose the child lists by counting: claimed[claimed_offsets[c],
-  // claimed_offsets[c + 1]) lists, ascending, every node that names c
-  // as a child. The edge multisets agree iff each such list equals the
-  // sorted parent list of c; a duplicate edge is then an adjacent
-  // repeat in one list.
-  std::vector<size_t> claimed_offsets(n + 1, 0);
-  for (const NodeId c : children) ++claimed_offsets[c + 1];
-  for (size_t v = 0; v < n; ++v) claimed_offsets[v + 1] += claimed_offsets[v];
-  std::vector<NodeId> claimed(children.size());
-  {
-    std::vector<size_t> cursor(claimed_offsets.begin(),
-                               claimed_offsets.end() - 1);
+  // Four passes over the validated flat arrays: the mirror check, the
+  // name index, the adjacency fills and the acyclicity check. Each
+  // only reads the arrays and writes its own outputs, so on a large
+  // graph they run at once; a malformed input can then fail several,
+  // and the first failure in pass order is reported — the one a serial
+  // run, which stops at it, reports.
+  auto table = std::make_shared<NameTable>();
+  Dag dag;
+  const auto mirror = [&]() -> const char* {
+    // The two adjacency directions must describe the same edge set with
+    // no duplicates or self-loops; a file that breaks the mirror would
+    // desynchronize every traversal that mixes directions (Kahn's
+    // indegrees vs child expansion, ancestor vs descendant sweeps).
     for (size_t v = 0; v < n; ++v) {
       for (size_t i = child_offsets[v]; i < child_offsets[v + 1]; ++i) {
-        claimed[cursor[children[i]]++] = static_cast<NodeId>(v);
+        if (children[i] == v) return "self-loop";
       }
     }
-  }
-  bool duplicate = false;
-  std::vector<NodeId> listed;
-  for (size_t v = 0; v < n; ++v) {
-    const auto first = claimed.begin() +
-                       static_cast<ptrdiff_t>(claimed_offsets[v]);
-    const auto last = claimed.begin() +
-                      static_cast<ptrdiff_t>(claimed_offsets[v + 1]);
-    listed.assign(
-        parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v]),
-        parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v + 1]));
-    std::sort(listed.begin(), listed.end());
-    if (!std::equal(first, last, listed.begin(), listed.end())) {
-      return corrupt("child/parent adjacency mismatch");
+    // Transpose the child lists by counting: claimed[claimed_offsets[c],
+    // claimed_offsets[c + 1]) lists, ascending, every node that names c
+    // as a child. The edge multisets agree iff each such list equals the
+    // sorted parent list of c; a duplicate edge is then an adjacent
+    // repeat in one list.
+    std::vector<size_t> claimed_offsets(n + 1, 0);
+    for (const NodeId c : children) ++claimed_offsets[c + 1];
+    for (size_t v = 0; v < n; ++v) {
+      claimed_offsets[v + 1] += claimed_offsets[v];
     }
-    duplicate = duplicate || std::adjacent_find(first, last) != last;
+    std::vector<NodeId> claimed(children.size());
+    {
+      std::vector<size_t> cursor(claimed_offsets.begin(),
+                                 claimed_offsets.end() - 1);
+      for (size_t v = 0; v < n; ++v) {
+        for (size_t i = child_offsets[v]; i < child_offsets[v + 1]; ++i) {
+          claimed[cursor[children[i]]++] = static_cast<NodeId>(v);
+        }
+      }
+    }
+    bool duplicate = false;
+    std::vector<NodeId> listed;
+    for (size_t v = 0; v < n; ++v) {
+      const auto first = claimed.begin() +
+                         static_cast<ptrdiff_t>(claimed_offsets[v]);
+      const auto last = claimed.begin() +
+                        static_cast<ptrdiff_t>(claimed_offsets[v + 1]);
+      listed.assign(
+          parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v]),
+          parents.begin() + static_cast<ptrdiff_t>(parent_offsets[v + 1]));
+      std::sort(listed.begin(), listed.end());
+      if (!std::equal(first, last, listed.begin(), listed.end())) {
+        return "child/parent adjacency mismatch";
+      }
+      duplicate = duplicate || std::adjacent_find(first, last) != last;
+    }
+    return duplicate ? "duplicate edge" : nullptr;
+  };
+  const auto index_names = [&]() -> const char* {
+    return table->Assign(std::move(names)) ? nullptr : "duplicate node name";
+  };
+  const auto fill = [&]() -> const char* {
+    dag.children_ = Adjacency::FromOffsets(child_offsets, children);
+    dag.parents_ = Adjacency::FromOffsets(parent_offsets, parents);
+    return nullptr;
+  };
+  const auto acyclic = [&]() -> const char* {
+    // Kahn's completes iff the edge set has no cycle. On arrays that
+    // fail the mirror check the in-degrees are wrong, but every id is
+    // in range, so the pass still only reads inside them.
+    const auto range = [](const std::vector<size_t>& offsets,
+                          const std::vector<NodeId>& ids) {
+      return [off = offsets.data(), at = ids.data()](NodeId v) {
+        return std::span<const NodeId>(at + off[v], off[v + 1] - off[v]);
+      };
+    };
+    return KahnOrder(n, range(parent_offsets, parents),
+                     range(child_offsets, children))
+                       .size() == n
+               ? nullptr
+               : "contains a cycle";
+  };
+  const std::function<const char*()> passes[] = {mirror, index_names, fill,
+                                                 acyclic};
+  const char* faults[std::size(passes)] = {};
+  if (std::max(n, children.size()) >= kParallelCsrSize &&
+      ThreadPool::DefaultThreadCount() > 1) {
+    ThreadPool workers(
+        std::min(std::size(passes), ThreadPool::DefaultThreadCount()) - 1);
+    workers.ParallelFor(0, std::size(passes),
+                        [&](size_t i) { faults[i] = passes[i](); });
+  } else {
+    for (size_t i = 0; i < std::size(passes); ++i) {
+      if ((faults[i] = passes[i]()) != nullptr) break;
+    }
   }
-  if (duplicate) return corrupt("duplicate edge");
-
-  auto table = std::make_shared<NameTable>();
-  if (!table->Assign(std::move(names))) {
-    return corrupt("duplicate node name");
+  for (const char* fault : faults) {
+    if (fault != nullptr) return corrupt(fault);
   }
-
-  Dag dag;
   dag.edge_count_ = children.size();
   dag.names_ = std::move(table);
-  dag.children_ = Adjacency::FromOffsets(child_offsets, children);
-  dag.parents_ = Adjacency::FromOffsets(parent_offsets, parents);
   dag.node_generations_.assign(n, 0);
-
-  // Acyclicity last: Kahn's completes iff the edge set has no cycle.
-  // It runs on the flat input arrays, which the validated graph mirrors.
-  const auto range = [](const std::vector<size_t>& offsets,
-                        const std::vector<NodeId>& ids) {
-    return [off = offsets.data(), at = ids.data()](NodeId v) {
-      return std::span<const NodeId>(at + off[v], off[v + 1] - off[v]);
-    };
-  };
-  if (KahnOrder(n, range(parent_offsets, parents),
-                range(child_offsets, children))
-          .size() != n) {
-    return Status::Corruption("CSR graph: contains a cycle");
-  }
   return dag;
 }
 

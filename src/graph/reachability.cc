@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -90,6 +91,24 @@ void MergeRuns(std::span<const ReachabilityIndex::ProfileEntry> a,
   }
   out.insert(out.end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
   out.insert(out.end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
+}
+
+/// Storage for `n` label entries, left uninitialized: the DP's tasks
+/// copy the labels in, so the pages are first touched on the threads
+/// that fill them.
+std::shared_ptr<ReachabilityIndex::ProfileEntry[]> AllocateLabels(size_t n) {
+  using Alloc = std::allocator<ReachabilityIndex::ProfileEntry>;
+  return {Alloc().allocate(n), [n](ReachabilityIndex::ProfileEntry* p) {
+            Alloc().deallocate(p, n);
+          }};
+}
+
+/// A grown label vector as one more immutable pool (the pointer keeps
+/// the vector alive).
+std::shared_ptr<const ReachabilityIndex::ProfileEntry[]> Share(
+    std::shared_ptr<std::vector<ReachabilityIndex::ProfileEntry>> pool) {
+  const ReachabilityIndex::ProfileEntry* const data = pool->data();
+  return {std::move(pool), data};
 }
 
 }  // namespace
@@ -296,10 +315,12 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
 
   // Wide levels run on `workers` (a pool of DefaultThreadCount() - 1
   // workers, started at the first wide level, when the caller passes
-  // none). Tasks only read: parents' slots and labels, all written by
-  // earlier levels. Slots, pages and pools are written serially
-  // between levels, so copy-on-write and pool growth stay on the
-  // calling thread.
+  // none), in two passes per level. The first computes each chunk's
+  // labels into a buffer of its own, reading only parents' slots and
+  // labels, all written by earlier levels. The second copies the
+  // buffers into the level's pool and points the slots at them: on the
+  // workers in a full build, on the calling thread in an incremental
+  // one, where a slot page may still be shared and is cloned on write.
   std::optional<ThreadPool> own_workers;
   // Asked only at the first wide level: the CPU count is a file read,
   // which a small incremental rebuild should not pay.
@@ -310,6 +331,7 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
     std::vector<uint32_t> lens;
   };
   std::vector<ChunkLabels> chunks;
+  std::vector<size_t> chunk_at;
   LabelScratch scratch;
   size_t begin = 0;
   for (const size_t end : level_ends) {
@@ -369,30 +391,45 @@ bool ReachabilityIndex::ComputeLabels(const Dag& dag,
     const size_t total = level_entries.load();
     if (over.load() || live_entries_ + total > pool_budget) return false;
     // The level's labels go into a pool of their own, sized exactly, so
-    // no earlier label moves.
-    auto level_pool = std::make_shared<LabelPool>();
-    level_pool->reserve(total);
+    // no earlier label moves. `chunk_at[c]` is where chunk c's labels
+    // start in it.
+    chunk_at.assign(1, 0);
     for (size_t c = 0; c < chunk_count; ++c) {
+      chunk_at.push_back(chunk_at.back() + chunks[c].entries.size());
+    }
+    const std::shared_ptr<ProfileEntry[]> level_pool = AllocateLabels(total);
+    const auto write_back = [&](size_t c) {
       const ChunkLabels& labels = chunks[c];
+      ProfileEntry* at = level_pool.get() + chunk_at[c];
+      std::uninitialized_copy(labels.entries.begin(), labels.entries.end(),
+                              at);
       const size_t first = begin + c * kLabelChunk;
-      size_t at = level_pool->size();
-      level_pool->insert(level_pool->end(), labels.entries.begin(),
-                         labels.entries.end());
       for (size_t i = 0; i < labels.lens.size(); ++i) {
         NodeSlot& slot = nodes_.Mutable(order[first + i]);
-        slot.label = level_pool->data() + at;
+        slot.label = at;
         slot.label_len = labels.lens[i];
         at += labels.lens[i];
       }
+    };
+    if (prev == nullptr) {
+      // A full build owns every slot page (`AssignClasses` assigned
+      // them), so `Mutable` writes in place and the tasks, each on its
+      // own nodes, write their slots and first-touch their share of
+      // the pool themselves.
+      workers->ParallelFor(0, chunk_count, write_back);
+    } else {
+      // Pages shared with earlier generations are cloned on write,
+      // which only the calling thread may do.
+      for (size_t c = 0; c < chunk_count; ++c) write_back(c);
     }
     live_entries_ += total;
     pooled_entries_ += total;
-    label_pools_.push_back(std::move(level_pool));
+    label_pools_.push_back(level_pool);
     begin = end;
   }
   if (!pool->empty()) {
     pooled_entries_ += pool->size();
-    label_pools_.push_back(std::move(pool));
+    label_pools_.push_back(Share(std::move(pool)));
   }
 
   // Repack once dead entries outnumber live ones (amortized O(1) per
@@ -416,7 +453,7 @@ void ReachabilityIndex::RepackLabels() {
     slot.label = pool->data() + pool->size();
     pool->insert(pool->end(), first, first + slot.label_len);
   }
-  label_pools_.assign(1, std::move(pool));
+  label_pools_.assign(1, Share(std::move(pool)));
   pooled_entries_ = live_entries_;
 }
 

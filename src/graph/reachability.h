@@ -275,7 +275,7 @@ class ReachabilityIndex {
   PagedArray<NodeSlot> nodes_;
   size_t supernodes_ = 0;    ///< Classes with at least one member.
   size_t folded_nodes_ = 0;  ///< Nodes in `kInteriorClass`.
-  std::vector<std::shared_ptr<const LabelPool>> label_pools_;
+  std::vector<std::shared_ptr<const ProfileEntry[]>> label_pools_;
   size_t live_entries_ = 0;    ///< Sum of `label_len`.
   size_t pooled_entries_ = 0;  ///< Sum of pool sizes (live + dead).
 };

@@ -35,6 +35,28 @@ MatrixMetrics& GetMatrixMetrics() {
   return *metrics;
 }
 
+/// Derives one effective column on the flat whole-graph kernel of this
+/// thread's hot path (DESIGN.md §7): the sparse column is staged in
+/// O(column size) and all per-subject bags share one pooled buffer.
+/// Calls `emit(v, decision)` for every subject v < `subjects`, in id
+/// order; `strategy` must be canonical.
+template <typename Emit>
+void DeriveColumn(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
+                  PropagationMode mode, acm::ObjectId object,
+                  acm::RightId right, const Strategy& strategy,
+                  size_t subjects, std::span<const graph::NodeId> topo,
+                  Emit emit) {
+  PropagateOptions prop_options;
+  prop_options.propagation_mode = mode;
+  HotPath& hot = HotPath::ThreadLocal();
+  hot.propagator.SetLabels(eacm.Column(object, right), subjects);
+  hot.propagator.PropagateAll(FlatDagView{&dag, topo}, prop_options);
+  for (size_t v = 0; v < subjects; ++v) {
+    emit(v, ResolveEntries(
+                hot.propagator.bag(static_cast<graph::NodeId>(v)), strategy));
+  }
+}
+
 }  // namespace
 
 StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
@@ -45,18 +67,12 @@ StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
   if (object >= eacm.object_count() || right >= eacm.right_count()) {
     return Status::OutOfRange("object/right id out of range");
   }
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm.ExtractLabels(dag.node_count(), object, right);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = system.propagation_mode();
-  const std::vector<RightsBag> bags =
-      PropagateWholeDag(dag, labels, prop_options);
-
   std::vector<acm::Mode> column;
-  column.reserve(bags.size());
-  for (const RightsBag& bag : bags) {
-    column.push_back(Resolve(bag, strategy));
-  }
+  column.reserve(dag.node_count());
+  const std::vector<graph::NodeId> topo = dag.TopologicalOrder();
+  DeriveColumn(dag, eacm, system.propagation_mode(), object, right,
+               strategy.Canonical(), dag.node_count(), topo,
+               [&](size_t, acm::Mode mode) { column.push_back(mode); });
   return column;
 }
 
@@ -114,28 +130,14 @@ EffectiveMatrix::ColumnBits EffectiveMatrix::ComputeColumn(
     uint32_t key, std::span<const graph::NodeId> topo) const {
   const auto object = static_cast<acm::ObjectId>(key >> 16);
   const auto right = static_cast<acm::RightId>(key & 0xFFFF);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = mode;
-
-  // Flat whole-graph propagation on this thread's hot-path kernel
-  // (DESIGN.md §7): the sparse column is staged in O(column size) and
-  // all per-subject bags share one pooled buffer, replacing the dense
-  // label vector and the vector<RightsBag> of the classic engine.
-  HotPath& hot = HotPath::ThreadLocal();
-  hot.propagator.SetLabels(eacm.Column(object, right), subject_count_);
-  const FlatDagView view{&dag, topo};
-  hot.propagator.PropagateAll(view, prop_options);
-
   ColumnBits column;
-  const size_t words = (subject_count_ + 63) / 64;
-  column.bits.assign(words, 0);
-  for (size_t v = 0; v < subject_count_; ++v) {
-    const auto local = static_cast<graph::NodeId>(v);
-    if (ResolveEntries(hot.propagator.bag(local), strategy_) ==
-        acm::Mode::kPositive) {
-      column.bits[v / 64] |= uint64_t{1} << (v % 64);
-    }
-  }
+  column.bits.assign((subject_count_ + 63) / 64, 0);
+  DeriveColumn(dag, eacm, mode, object, right, strategy_, subject_count_,
+               topo, [&](size_t v, acm::Mode decision) {
+                 if (decision == acm::Mode::kPositive) {
+                   column.bits[v / 64] |= uint64_t{1} << (v % 64);
+                 }
+               });
   column.epoch = eacm.ColumnEpoch(object, right);
   return column;
 }

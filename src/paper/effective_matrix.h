@@ -20,9 +20,9 @@ namespace ucr::core {
 /// \brief One column of the *effective* access control matrix: the
 /// derived mode of every subject of `system` for (object, right) under
 /// `strategy` and the system's propagation mode, indexed by node id.
-/// Computed with the whole-graph propagation engine in one topological
-/// pass (the reference derivation the strategy-migration audit and the
-/// constraint checker read).
+/// Computed in one topological pass of the flat whole-graph kernel,
+/// the derivation `EffectiveMatrix` columns use (the strategy-migration
+/// audit and the constraint checker read it).
 StatusOr<std::vector<acm::Mode>> MaterializeEffectiveColumn(
     const AccessControlSystem& system, acm::ObjectId object,
     acm::RightId right, const Strategy& strategy);

@@ -7,7 +7,7 @@
 
 namespace ucr {
 
-/// \brief CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-4.
+/// \brief CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-16.
 ///
 /// Guards the durable storage formats (core/wal.h, the binary
 /// snapshot): every length-prefixed record and every snapshot section

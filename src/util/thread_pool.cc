@@ -129,17 +129,27 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
       body(i);
     }
   };
-  for (size_t t = 0; t < fanout; ++t) {
-    Submit([state, end, body] {  // Copies body: it may outlive the caller's
-                                 // stack frame only via these tasks.
-      for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-           i < end; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
-        body(i);
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->pending == 0) state->done.notify_all();
-    });
+  const auto task = [state, end, body] {  // Copies body: it may outlive
+                                          // the caller's frame only via
+                                          // these tasks.
+    for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+         i < end; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (--state->pending == 0) state->done.notify_all();
+  };
+  // All of the loop's tasks go in under one lock with one wake-up, so
+  // every idle worker starts at once instead of one per notify.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t t = 0; t < fanout; ++t) queue_.emplace_back(task);
   }
+  queued_.fetch_add(fanout, std::memory_order_relaxed);
+  if constexpr (obs::kEnabled) {
+    Metrics().queued.Add(static_cast<int64_t>(fanout));
+  }
+  work_ready_.notify_all();
   drain();  // The caller participates instead of blocking idle.
   std::unique_lock<std::mutex> lock(state->mu);
   state->done.wait(lock, [&state] { return state->pending == 0; });

@@ -482,16 +482,18 @@ TEST(DagFromCsrTest, AcceptsAMirroredAcyclicGraph) {
   EXPECT_TRUE(FromCsr(std::move(shuffled)).ok());
 }
 
-// One malformed input per check, each rejected as kCorruption with its
-// own message; the inputs breaking two checks at once pin the order in
-// which they run (self-loop, mirror, duplicate edge, duplicate name,
-// cycle).
-TEST(DagFromCsrTest, RejectsEachMalformedInputWithItsMessage) {
-  struct Case {
-    const char* what;
-    Csr csr;
-    const char* message;
-  };
+/// A malformed CSR and the message `FromCsr` rejects it with.
+struct MalformedCsr {
+  const char* what;
+  Csr csr;
+  const char* message;
+};
+
+// One malformed input per check, each with its own message; the inputs
+// breaking two checks at once pin the order in which the checks report
+// (self-loop, mirror, duplicate edge, duplicate name, cycle).
+std::vector<MalformedCsr> MalformedCases() {
+  using Case = MalformedCsr;
   std::vector<Case> cases;
   {
     Csr c = Diamond();
@@ -575,13 +577,67 @@ TEST(DagFromCsrTest, RejectsEachMalformedInputWithItsMessage) {
   cases.push_back({"duplicate name before cycle",
                    CsrOf({"A", "A"}, {{0, 1}, {1, 0}}),
                    "duplicate node name"});
+  return cases;
+}
 
-  for (Case& c : cases) {
+void ExpectRejected(Csr csr, const char* message) {
+  const auto dag = FromCsr(std::move(csr));
+  ASSERT_FALSE(dag.ok());
+  EXPECT_EQ(dag.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(dag.status().message(), std::string("CSR graph: ") + message);
+}
+
+TEST(DagFromCsrTest, RejectsEachMalformedInputWithItsMessage) {
+  for (MalformedCsr& c : MalformedCases()) {
     SCOPED_TRACE(c.what);
-    const auto dag = FromCsr(std::move(c.csr));
-    ASSERT_FALSE(dag.ok());
-    EXPECT_EQ(dag.status().code(), StatusCode::kCorruption);
-    EXPECT_EQ(dag.status().message(), std::string("CSR graph: ") + c.message);
+    ExpectRejected(std::move(c.csr), c.message);
+  }
+}
+
+/// `small` appended to a valid 2^16-node binary tree named "t<i>": its
+/// ids, offsets and array positions shift by the tree's, so a fault
+/// written into `small` lands in the combined arrays unchanged. The
+/// result is large enough for `FromCsr` to run its checks concurrently.
+Csr BehindATree(Csr small) {
+  constexpr NodeId kTree = NodeId{1} << 16;
+  std::vector<std::string> names;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < kTree; ++v) {
+    names.push_back("t" + std::to_string(v));
+    if (v > 0) edges.emplace_back((v - 1) / 2, v);
+  }
+  Csr csr = CsrOf(std::move(names), edges);
+  const auto shift = [](std::vector<size_t>& offsets,
+                        const std::vector<size_t>& more, size_t by) {
+    offsets.pop_back();
+    for (const size_t o : more) offsets.push_back(o + by);
+  };
+  const size_t edge_count = csr.children.size();
+  csr.names.insert(csr.names.end(), small.names.begin(), small.names.end());
+  shift(csr.child_offsets, small.child_offsets, edge_count);
+  shift(csr.parent_offsets, small.parent_offsets, edge_count);
+  for (const NodeId c : small.children) csr.children.push_back(c + kTree);
+  for (const NodeId p : small.parents) csr.parents.push_back(p + kTree);
+  return csr;
+}
+
+// The same faults past the size at which the checks run concurrently:
+// every input still fails with the message the serial path reports,
+// including the inputs that fail two checks at once.
+TEST(DagFromCsrTest, LargeInputsFailWithTheSerialPathsMessage) {
+  auto dag = FromCsr(BehindATree(Diamond()));
+  ASSERT_TRUE(dag.ok()) << dag.status().message();
+  EXPECT_EQ(dag->node_count(), (size_t{1} << 16) + 4);
+  EXPECT_EQ(dag->edge_count(), (size_t{1} << 16) - 1 + 4);
+  const NodeId a = dag->FindNode("A");
+  EXPECT_EQ(a, NodeId{1} << 16);
+  EXPECT_EQ(dag->name(dag->children(a)[1]), "C");
+  EXPECT_EQ(dag->parents(dag->FindNode("t9")).front(), dag->FindNode("t4"));
+  EXPECT_EQ(dag->TopologicalOrder().size(), dag->node_count());
+
+  for (MalformedCsr& c : MalformedCases()) {
+    SCOPED_TRACE(c.what);
+    ExpectRejected(BehindATree(std::move(c.csr)), c.message);
   }
 }
 

@@ -14,9 +14,11 @@
 #include "core/binary_snapshot.h"
 #include "core/storage.h"
 #include "core/system.h"
+#include "graph/generators.h"
 #include "graph/io.h"
 #include "paper/mixed_system.h"
 #include "paper/paper_example.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -206,6 +208,95 @@ TEST(LoaderFuzzTest, BinarySnapshotLoaderNeverCrashes) {
       EXPECT_FALSE(result.status().message().empty());
     }
   }
+}
+
+/// Recomputes the graph section's checksum and the header's after a
+/// mutation, so the forged bytes reach `Dag::FromCsr` instead of
+/// failing the checksum. Header layout: magic (8), version (4), lsn
+/// (8), strategy, mode, reserved (4), graph size (8) and crc (4) at
+/// offsets 24 and 32, matrix size and crc, header crc (4) at 48.
+constexpr size_t kSnapshotHeaderSize = 52;
+
+size_t GraphSectionSize(const std::string& bytes) {
+  uint64_t size = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    size |= uint64_t{static_cast<unsigned char>(bytes[24 + i])} << (8 * i);
+  }
+  return static_cast<size_t>(size);
+}
+
+void Reseal(std::string& bytes) {
+  const auto put32 = [&](size_t at, uint32_t v) {
+    for (size_t i = 0; i < 4; ++i) {
+      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+  };
+  put32(32, Crc32(bytes.data() + kSnapshotHeaderSize, GraphSectionSize(bytes)));
+  put32(48, Crc32(bytes.data(), kSnapshotHeaderSize - 4));
+}
+
+// Forged graph sections past the size at which `Dag::FromCsr` runs its
+// checks concurrently: an id rewritten in range (the mirror breaks, and
+// the name, fill and cycle passes run on the broken arrays alongside)
+// or a byte rewritten anywhere in the section, checksums recomputed.
+// Each decodes to a valid hierarchy or fails cleanly; under the
+// sanitizer presets this covers the concurrent passes on hostile
+// arrays.
+TEST(LoaderFuzzTest, LargeForgedGraphSectionsFailCleanly) {
+  Random rng(21);
+  graph::ScaleLayeredDagOptions shape;
+  shape.nodes = size_t{1} << 15;
+  shape.layers = 8;
+  auto dag = graph::GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  const size_t n = dag->node_count();
+  const size_t edges = dag->edge_count();
+  core::AccessControlSystem system(std::move(dag).value());
+  ASSERT_TRUE(system.Grant(system.dag().name(0), "doc", "read").ok());
+  const std::string valid = core::EncodeBinarySnapshot(system, /*lsn=*/7);
+  ASSERT_TRUE(core::DecodeBinarySnapshot(valid, {}).ok());
+
+  // The section ends with the child offsets and ids, then the parent
+  // offsets and ids (graph/io.cc).
+  const size_t dag_size = GraphSectionSize(valid);
+  const size_t parent_ids = kSnapshotHeaderSize + dag_size - 4 * edges;
+  const size_t child_ids = parent_ids - 8 * (n + 1) - 4 * edges;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    std::string mutated = valid;
+    const auto rewrite_id = [&](size_t ids) {
+      const size_t at = ids + 4 * static_cast<size_t>(rng.Uniform(edges));
+      const auto id = static_cast<uint32_t>(rng.Uniform(n));
+      for (size_t i = 0; i < 4; ++i) {
+        mutated[at + i] = static_cast<char>((id >> (8 * i)) & 0xFF);
+      }
+    };
+    switch (trial % 3) {
+      case 0:
+        rewrite_id(child_ids);
+        break;
+      case 1:
+        rewrite_id(parent_ids);
+        break;
+      default: {
+        const size_t at =
+            kSnapshotHeaderSize + static_cast<size_t>(rng.Uniform(dag_size));
+        mutated[at] = static_cast<char>(rng.Uniform(256));
+        break;
+      }
+    }
+    Reseal(mutated);
+    auto result = core::DecodeBinarySnapshot(mutated, {});
+    if (result.ok()) {
+      EXPECT_EQ(result->dag().TopologicalOrder().size(),
+                result->dag().node_count());
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_FALSE(result.status().message().empty());
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 12u);
 }
 
 TEST(SerializationGuardTest, NamesWithWhitespaceRejectedBeforeWrite) {

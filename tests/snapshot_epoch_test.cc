@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "acm/acm.h"
@@ -319,6 +321,55 @@ TEST(SnapshotSystemTest, PinnedSnapshotNeverSeesSubjectCreatedAfterIt) {
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(master.ok());
   EXPECT_EQ(*fresh, *master);
+}
+
+
+TEST(SnapshotSystemTest, DecisionTableIsSizedFromTheEntriesItCarries) {
+  // The rule: two slots per entry of the previous table, a power of
+  // two, clamped to [2^10, 2^22].
+  EXPECT_EQ(NextResolutionCapacity(0), size_t{1} << 10);
+  EXPECT_EQ(NextResolutionCapacity(512), size_t{1} << 10);
+  EXPECT_EQ(NextResolutionCapacity(513), size_t{1} << 11);
+  EXPECT_EQ(NextResolutionCapacity(600), size_t{1} << 11);
+  EXPECT_EQ(NextResolutionCapacity(size_t{1} << 21), size_t{1} << 22);
+  EXPECT_EQ(NextResolutionCapacity(size_t{3} << 20), size_t{1} << 22);
+
+  Random rng(21);
+  graph::ScaleLayeredDagOptions shape;
+  shape.nodes = 2048;
+  shape.layers = 4;
+  auto built = graph::GenerateScaleLayeredDag(shape, rng);
+  ASSERT_TRUE(built.ok());
+  acm::ExplicitAcm eacm;
+  const acm::RightId read = eacm.InternRight("read").value();
+  const acm::ObjectId doc = eacm.InternObject("doc").value();
+  ASSERT_TRUE(eacm.InternObject("memo").ok());
+  ASSERT_TRUE(eacm.Set(0, doc, read, Mode::kPositive).ok());
+  AccessControlSystem system(std::move(built).value(), std::move(eacm),
+                             SystemOptions{});
+  system.EnableSnapshotReads();
+  const auto table = [&] {
+    const SnapshotManager::ReadPin pin = system.snapshots()->Pin();
+    return std::pair(pin->resolution.capacity(), pin->resolution.size());
+  };
+  EXPECT_EQ(table().first, size_t{1} << 14);  // The first publish.
+
+  // 600 decisions on `doc`, then an edit of another column: the next
+  // table carries all 600 in 2 * 600 slots, rounded up.
+  for (graph::NodeId v = 0; v < 600; ++v) {
+    ASSERT_TRUE(system.CheckAccessSnapshot(v, doc, read).ok());
+  }
+  ASSERT_EQ(table().second, 600u);
+  const std::string subject = system.dag().name(1);
+  ASSERT_TRUE(system.Grant(subject, "memo", "read").ok());
+  EXPECT_EQ(table(), std::pair(size_t{1} << 11, size_t{600}));
+
+  // An edit of `doc` drops its entries; the table after the one that
+  // dropped them shrinks to the floor.
+  ASSERT_TRUE(system.Grant(subject, "doc", "read").ok());
+  EXPECT_EQ(table(), std::pair(size_t{1} << 11, size_t{0}));
+  ASSERT_TRUE(system.Revoke(subject, "memo", "read").ok());
+  EXPECT_EQ(table(), std::pair(size_t{1} << 10, size_t{0}));
 }
 
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <vector>
@@ -69,6 +70,43 @@ TEST(ThreadPoolTest, SequentialParallelForsReuseTheSamePool) {
       sum.fetch_add(i, std::memory_order_relaxed);
     });
     ASSERT_EQ(sum.load(), size_t{64 * 63 / 2});
+  }
+}
+
+// Thousands of back-to-back small loops, the label DP's pattern (two
+// loops per level). Every index runs exactly once per loop, and no
+// worker sleeps through a loop's wake-up: in the second half each
+// index blocks until every executor holds one, so a worker that missed
+// the wake-up leaves the others waiting out their deadline.
+TEST(ThreadPoolTest, BackToBackSmallLoopsVisitOnceAndWakeEveryWorker) {
+  constexpr size_t kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::vector<std::atomic<uint32_t>> visits(16);
+  for (size_t round = 0; round < 4000; ++round) {
+    const size_t count = 1 + round % visits.size();
+    pool.ParallelFor(0, count, [&](size_t i) {
+      visits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i].exchange(0), i < count ? 1u : 0u)
+          << "index " << i << " of " << count << " in round " << round;
+    }
+  }
+
+  std::mutex mu;
+  std::condition_variable all_in;
+  for (size_t round = 0; round < 1000; ++round) {
+    size_t arrived = 0;
+    bool timed_out = false;
+    pool.ParallelFor(0, kWorkers + 1, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (++arrived == kWorkers + 1) all_in.notify_all();
+      if (!all_in.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return arrived == kWorkers + 1; })) {
+        timed_out = true;
+      }
+    });
+    ASSERT_FALSE(timed_out) << "a worker missed round " << round;
   }
 }
 
