@@ -154,14 +154,14 @@ int main(int argc, char** argv) {
   // budget and the 0-alloc property are measured with the full
   // observability stack live, not an idealized build. The cadence is
   // faster than the production 1 s default so even the smoke run
-  // retains real points. UCR_BENCH_NO_TELEMETRY=1 gives the A/B
-  // baseline for isolating sampler + health-engine cost.
+  // retains real points, and each tick evaluates the health rules.
+  // UCR_BENCH_NO_TELEMETRY=1 gives the A/B baseline for isolating the
+  // sampler's cost.
   obs::SetExemplarThreshold(0);  // Every sampled query may leave one.
   if (std::getenv("UCR_BENCH_NO_TELEMETRY") == nullptr) {
     obs::TimeSeriesSampler::Options ts_options;
     ts_options.interval_ms = 100;
     obs::TimeSeriesSampler::Global().Start(ts_options);
-    obs::HealthEngine::Global().Start(/*interval_ms=*/100);
   }
 
   constexpr uint64_t kSeed = 42;
@@ -373,7 +373,6 @@ int main(int argc, char** argv) {
     r.shadow_interval = shadow_interval;
     std::cout << JsonLine(r) << "\n";
   }
-  obs::HealthEngine::Global().Stop();
   obs::TimeSeriesSampler::Global().Stop();
   PublishAllocationGauge();  // ucr_heap_allocations joins the snapshot.
   ucr::bench_obs::EmitMetricsSnapshot("hotpath");

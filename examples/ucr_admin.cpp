@@ -57,7 +57,6 @@
 #include "core/strategy.h"
 #include "core/system.h"
 #include "obs/audit_log.h"
-#include "obs/health.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -513,18 +512,16 @@ int Serve(const std::string& path, uint16_t port) {
     obs::ShadowVerifier::Global().SetInterval(64);
     // Telemetry timeline + live health verdict (DESIGN.md §13): the
     // sampler retains two tiers of history for /timeseries and /statz,
-    // the health engine turns them into /healthz. Start failures are
+    // and each tick re-evaluates the /healthz rules. Start failures are
     // non-fatal (already running, or metrics compiled out — in which
     // case the exporter refuses to start below anyway).
     obs::TimeSeriesSampler::Global().Start();
-    obs::HealthEngine::Global().Start();
     // Continuous wall-clock profiling (DESIGN.md §14): 97 Hz SIGPROF
     // sampling for the life of the serve process, read back through
     // /profilez or `ucr_admin profile`.
     obs::WallProfiler::Global().Start();
     const auto stop_telemetry = [] {
       obs::WallProfiler::Global().Stop();
-      obs::HealthEngine::Global().Stop();
       obs::TimeSeriesSampler::Global().Stop();
     };
 
@@ -546,8 +543,8 @@ int Serve(const std::string& path, uint16_t port) {
               << "/{metrics,healthz,varz,tracez,timeseries,statz,profilez}\n"
               << "audit log: " << audit_path << "\n"
               << "shadow verification: 1-in-64\n"
-              << "telemetry: 1s sampler + health engine (try `ucr_admin "
-                 "top 127.0.0.1:"
+              << "telemetry: 1s sampler, health rules evaluated every "
+                 "tick (try `ucr_admin top 127.0.0.1:"
               << exporter.port() << "`)\n"
               << "profiler: 97 Hz wall-clock sampler (try `ucr_admin "
                  "profile 127.0.0.1:"
@@ -620,7 +617,8 @@ int main(int argc, char** argv) {
       "  trace   <file> <subject> <object> <right>\n"
       "  serve   <file> [port]                live exposition server\n"
       "                                       (default port 9464) with\n"
-      "                                       audit log + shadow checks\n"
+      "                                       audit log, shadow checks,\n"
+      "                                       health on each sampler tick\n"
       "  top <host:port> [--once]             refreshing dashboard over\n"
       "                                       a running serve instance\n"
       "                                       (--once prints one frame)\n"

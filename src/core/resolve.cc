@@ -61,19 +61,19 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
 
-/// Copies a ResolveTrace's Fig. 4 fields into a tracer record (the
-/// shape the obs-layer formatters consume).
-obs::QueryTraceRecord Fig4Record(const ResolveTrace& trace) {
-  obs::QueryTraceRecord record;
-  record.has_majority = trace.c1.has_value();
-  record.c1 = trace.c1.value_or(0);
-  record.c2 = trace.c2.value_or(0);
-  record.auth_computed = trace.auth_computed;
-  record.auth_has_positive = trace.auth_has_positive;
-  record.auth_has_negative = trace.auth_has_negative;
-  record.returned_line = trace.returned_line;
-  record.granted = trace.result == Mode::kPositive;
-  return record;
+/// Copies a ResolveTrace's Fig. 4 fields into the obs-layer derivation
+/// (the shape the tracer, the shadow verifier and every renderer use).
+obs::Fig4Derivation Fig4Of(const ResolveTrace& trace) {
+  obs::Fig4Derivation d;
+  d.has_majority = trace.c1.has_value();
+  d.c1 = trace.c1.value_or(0);
+  d.c2 = trace.c2.value_or(0);
+  d.auth_computed = trace.auth_computed;
+  d.auth_has_positive = trace.auth_has_positive;
+  d.auth_has_negative = trace.auth_has_negative;
+  d.returned_line = trace.returned_line;
+  d.granted = trace.result == Mode::kPositive;
+  return d;
 }
 
 /// A (dis, mode) group after the default rule has been applied: only
@@ -287,19 +287,15 @@ std::span<const RightsEntry> ComposeIndexedSinkBag(
 }
 
 std::string ResolveTrace::AuthToString() const {
-  if (!auth_computed) return "n/a";
-  if (auth_has_positive && auth_has_negative) return "+,-";
-  if (auth_has_positive) return "+";
-  if (auth_has_negative) return "-";
-  return "{}";
+  return std::string(obs::EncodeFig4Cells(Fig4Of(*this)).auth);
 }
 
 std::string ResolveTrace::C1ToString() const {
-  return c1.has_value() ? std::to_string(*c1) : "n/a";
+  return obs::EncodeFig4Cells(Fig4Of(*this)).c1;
 }
 
 std::string ResolveTrace::C2ToString() const {
-  return c2.has_value() ? std::to_string(*c2) : "n/a";
+  return obs::EncodeFig4Cells(Fig4Of(*this)).c2;
 }
 
 acm::Mode Resolve(const RightsBag& all_rights, const Strategy& strategy,
@@ -512,8 +508,7 @@ ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     graph::NodeId subject, acm::ObjectId object, acm::RightId right,
     const Strategy& canonical, const PropagateOptions& prop_options,
-    acm::Mode fast_mode, const ResolveTrace& fast_trace,
-    size_t indexed_bag_entries) {
+    const ResolveTrace& fast_trace, size_t indexed_bag_entries) {
   // Deliberate sampled work: its heap traffic is excluded from the
   // hot path's zero-allocation budget (util/alloc_counter.cc), and its
   // re-resolution must not pollute the query's phase breakdown.
@@ -524,7 +519,6 @@ ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
   const ClassicRun oracle =
       ResolveClassic(dag, eacm, subject, object, right, canonical,
                      prop_options, nullptr, &oracle_trace, nullptr);
-  acm::Mode oracle_mode = oracle.mode;
   if (indexed_bag_entries != SIZE_MAX) {
     // The oracle just extracted the sub-graph the index skipped:
     // record how much work the compression saved on this query.
@@ -535,37 +529,23 @@ ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
   }
 
   if (obs::ShadowVerifier::perturb_oracle_for_testing()) {
-    oracle_mode = oracle_mode == Mode::kPositive ? Mode::kNegative
-                                                 : Mode::kPositive;
-    oracle_trace.result = oracle_mode;
+    oracle_trace.result = oracle_trace.result == Mode::kPositive
+                              ? Mode::kNegative
+                              : Mode::kPositive;
   }
 
   obs::ShadowVerifier& verifier = obs::ShadowVerifier::Global();
   verifier.RecordCheck();
-  const bool identical =
-      oracle_mode == fast_mode && oracle_trace.c1 == fast_trace.c1 &&
-      oracle_trace.c2 == fast_trace.c2 &&
-      oracle_trace.auth_computed == fast_trace.auth_computed &&
-      oracle_trace.auth_has_positive == fast_trace.auth_has_positive &&
-      oracle_trace.auth_has_negative == fast_trace.auth_has_negative &&
-      oracle_trace.returned_line == fast_trace.returned_line;
-  if (identical) return;
-
   obs::ShadowVerifier::Mismatch mismatch;
+  mismatch.fast = Fig4Of(fast_trace);
+  mismatch.oracle = Fig4Of(oracle_trace);
+  if (mismatch.fast == mismatch.oracle) return;
+
   mismatch.subject = subject;
   mismatch.object = object;
   mismatch.right = right;
   mismatch.strategy_index = canonical.CanonicalIndex();
-  mismatch.fast_granted = fast_mode == Mode::kPositive;
-  mismatch.oracle_granted = oracle_mode == Mode::kPositive;
-  char derivation[160];
-  obs::FormatFig4Compact(Fig4Record(fast_trace), derivation,
-                         sizeof(derivation));
-  mismatch.fast_derivation = derivation;
-  obs::FormatFig4Compact(Fig4Record(oracle_trace), derivation,
-                         sizeof(derivation));
-  mismatch.oracle_derivation = derivation;
-  verifier.RecordMismatch(std::move(mismatch));
+  verifier.RecordMismatch(mismatch);
 }
 
 }  // namespace
@@ -575,8 +555,7 @@ ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     const Strategy& canonical, bool fast_path, uint64_t t_extract,
     uint64_t t_propagate, const ResolveTrace* trace, acm::Mode mode) const {
   const uint64_t t_end = obs::NowNs();
-  obs::QueryTraceRecord record =
-      trace != nullptr ? Fig4Record(*trace) : obs::QueryTraceRecord{};
+  obs::QueryTraceRecord record;
   record.subject = subject;
   record.object = object;
   record.right = right;
@@ -584,6 +563,7 @@ ClassicRun ResolveClassic(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
   record.fast_path = fast_path;
   record.resolution_cache_hit = trace == nullptr;
   if (trace != nullptr) {
+    static_cast<obs::Fig4Derivation&>(record) = Fig4Of(*trace);
     record.extract_ns = t_extract - t_start_;
     record.propagate_ns = t_propagate - t_extract;
     record.resolve_ns = t_end - t_propagate;
@@ -653,7 +633,7 @@ acm::Mode ResolveOnHotPath(const graph::Dag& dag, const acm::ExplicitAcm& eacm,
     }
     if (shadowed) [[unlikely]] {
       ShadowVerifyDecision(dag, eacm, subject, object, right, canonical,
-                           prop_options, decision, *trace_out,
+                           prop_options, *trace_out,
                            usable_index != nullptr ? sink_bag.size()
                                                    : SIZE_MAX);
     }

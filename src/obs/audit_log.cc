@@ -53,27 +53,53 @@ void AppendEscaped(std::ostringstream& out, std::string_view text) {
   }
 }
 
+/// The detail of a slow-query or shadow-mismatch event, rendered from
+/// its record: the compact Fig. 4 derivation plus the nonzero phases
+/// for a slow query (the phase that made it slow, DESIGN.md §14), both
+/// derivations for a shadow mismatch.
+std::string DecisionDetail(const AuditEvent& e) {
+  const QueryTraceRecord& r = e.record;
+  if (e.type == AuditEventType::kShadowMismatch) {
+    return std::string("fast=") + (r.granted ? "+" : "-") +
+           " oracle=" + (e.oracle.granted ? "+" : "-") +
+           " | fast: " + FormatFig4Compact(r) +
+           " | oracle: " + FormatFig4Compact(e.oracle);
+  }
+  std::string detail = FormatFig4Compact(r);
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    if (r.phases.ns[i] == 0) continue;
+    detail += ' ';
+    detail += PhaseName(static_cast<Phase>(i));
+    detail += '=' + std::to_string(r.phases.ns[i]) + "ns";
+  }
+  return detail;
+}
+
 }  // namespace
 
 std::string AuditEventToJson(const AuditEvent& e) {
   std::ostringstream out;
   out << "{\"seq\":" << e.sequence << ",\"ts_unix_ns\":" << e.wall_ns
       << ",\"type\":\"" << AuditEventTypeName(e.type) << "\"";
-  if (e.has_ids) {
+  const bool derived_detail = e.type == AuditEventType::kSlowQuery ||
+                              e.type == AuditEventType::kShadowMismatch;
+  if (derived_detail || e.type == AuditEventType::kAccessDecision) {
+    const QueryTraceRecord& r = e.record;
+    out << ",\"subject\":" << r.subject << ",\"object\":" << r.object
+        << ",\"right\":" << r.right
+        << ",\"granted\":" << (r.granted ? "true" : "false")
+        << ",\"strategy_index\":" << static_cast<int>(r.strategy_index);
+    if (r.total_ns != 0) out << ",\"latency_ns\":" << r.total_ns;
+  } else if (e.has_ids) {
     out << ",\"subject\":" << e.subject << ",\"object\":" << e.object
         << ",\"right\":" << e.right;
   }
-  if (e.has_decision) {
-    out << ",\"granted\":" << (e.granted ? "true" : "false");
-  }
-  if (e.has_strategy) {
-    out << ",\"strategy_index\":" << static_cast<int>(e.strategy_index);
-  }
-  if (e.latency_ns != 0) out << ",\"latency_ns\":" << e.latency_ns;
   if (e.value != 0) out << ",\"value\":" << e.value;
-  if (e.detail[0] != '\0') {
+  const std::string detail =
+      derived_detail ? DecisionDetail(e) : std::string(e.detail);
+  if (!detail.empty()) {
     out << ",\"detail\":\"";
-    AppendEscaped(out, e.detail);
+    AppendEscaped(out, detail);
     out << "\"";
   }
   out << "}";
@@ -264,9 +290,6 @@ bool AuditLog::Start(AuditLogOptions options) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (running_.load(std::memory_order_relaxed)) return false;
   sinks_ = std::move(options.sinks);
-  g_slow_ns.store(options.slow_query_threshold_ns, std::memory_order_relaxed);
-  g_log_decisions.store(options.log_sampled_decisions,
-                        std::memory_order_relaxed);
   running_.store(true, std::memory_order_relaxed);
   writer_ = std::thread([this] { WriterLoop(); });
   g_enabled.store(true, std::memory_order_release);
@@ -287,8 +310,6 @@ void AuditLog::Stop() {
   DrainOnce();  // Writer is gone; drain the tail inline.
   for (auto& sink : sinks_) sink->Flush();
   sinks_.clear();
-  g_slow_ns.store(0, std::memory_order_relaxed);
-  g_log_decisions.store(false, std::memory_order_relaxed);
 }
 
 bool AuditLog::Emit(const AuditEvent& event) {

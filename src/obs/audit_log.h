@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ucr::obs {
 
@@ -40,30 +41,34 @@ enum class AuditEventType : uint8_t {
 /// The exposition name of an event type ("grant", "slow_query", ...).
 std::string_view AuditEventTypeName(AuditEventType type);
 
-/// \brief One audit event. Plain data with a fixed-size detail buffer,
-/// so producers copy it into the ring without touching the heap — the
-/// hot path can emit a sampled decision allocation-free.
+/// \brief One audit event. Plain data with fixed-size fields, so
+/// producers copy it into the ring without touching the heap — the hot
+/// path can emit a sampled decision allocation-free.
 struct AuditEvent {
   AuditEventType type = AuditEventType::kAccessDecision;
 
-  // Optional field groups; the JSON renderer emits only what is set.
-  bool has_ids = false;       ///< subject/object/right are meaningful.
-  bool has_decision = false;  ///< granted is meaningful.
-  bool has_strategy = false;  ///< strategy_index is meaningful.
-  bool granted = false;
-  uint8_t strategy_index = 0;  ///< Canonical strategy index (< 48).
-
+  /// Mutation events: subject/object/right are meaningful (the JSON
+  /// renderer emits only what is set).
+  bool has_ids = false;
   uint32_t subject = 0;
   uint16_t object = 0;
   uint16_t right = 0;
 
-  uint64_t sequence = 0;    ///< Assigned at enqueue (ring position).
-  uint64_t wall_ns = 0;     ///< Unix epoch ns; stamped by Emit if 0.
-  uint64_t latency_ns = 0;  ///< Query latency; 0 when not applicable.
-  uint64_t value = 0;       ///< Type-specific count (epoch, evictions).
+  uint64_t sequence = 0;  ///< Assigned at enqueue (ring position).
+  uint64_t wall_ns = 0;   ///< Unix epoch ns; stamped by Emit if 0.
+  uint64_t value = 0;     ///< Type-specific count (epoch, evictions).
 
-  /// Free-form context: names for mutations, the compact Fig. 4
-  /// derivation for slow queries and shadow mismatches. Always
+  /// Decision events (access_decision, slow_query, shadow_mismatch):
+  /// the decision's record, ids, strategy, latency and Fig. 4
+  /// derivation, rendered by `AuditEventToJson` on the writer thread.
+  /// A shadow mismatch stores the fast path's derivation here and the
+  /// classic oracle's in `oracle`.
+  QueryTraceRecord record;
+  Fig4Derivation oracle;
+
+  /// Free-form context, rendered as is for every type but slow_query
+  /// and shadow_mismatch (whose detail derives from `record`): names
+  /// for mutations, the verdict change of a health transition. Always
   /// NUL-terminated; silently truncated.
   char detail[448] = {};
 
@@ -162,13 +167,6 @@ class DiscardSink : public AuditSink {
 
 struct AuditLogOptions {
   std::vector<std::unique_ptr<AuditSink>> sinks;
-
-  /// Sampled queries at or above this latency additionally emit a
-  /// kSlowQuery event carrying the full Fig. 4 derivation; 0 disables.
-  uint64_t slow_query_threshold_ns = 1'000'000;  // 1 ms.
-
-  /// Emit a kAccessDecision event for every tracer-sampled query.
-  bool log_sampled_decisions = true;
 };
 
 /// \brief Append-only structured audit log (DESIGN.md §9).
@@ -177,7 +175,8 @@ struct AuditLogOptions {
 /// verifier — enqueue fixed-size events into a bounded MPSC ring
 /// (Vyukov-style: one CAS claim plus a per-slot release store; no
 /// locks, no allocation). A background writer drains the ring, renders
-/// JSON lines, and hands them to the configured sinks. When the ring
+/// JSON lines (decision details included), and hands them to the
+/// configured sinks. When the ring
 /// is full the producer drops the event and counts it
 /// (`ucr_audit_dropped_total`): audit pressure must never stall the
 /// serving path.
@@ -201,14 +200,6 @@ class AuditLog {
   /// mutation-path call site.
   static bool Enabled() {
     return g_enabled.load(std::memory_order_relaxed);
-  }
-
-  /// Sampled queries at or above this latency log their derivation.
-  static uint64_t slow_query_threshold_ns() {
-    return g_slow_ns.load(std::memory_order_relaxed);
-  }
-  static bool log_sampled_decisions() {
-    return g_log_decisions.load(std::memory_order_relaxed);
   }
 
   /// Takes ownership of the sinks and starts the writer thread.
@@ -246,11 +237,9 @@ class AuditLog {
   void WriterLoop();
   size_t DrainOnce();
 
-  /// Constant-initialized statics so `Enabled()` and the thresholds
-  /// are readable from any thread without a singleton guard.
+  /// Constant-initialized so `Enabled()` is readable from any thread
+  /// without a singleton guard.
   static inline std::atomic<bool> g_enabled{false};
-  static inline std::atomic<uint64_t> g_slow_ns{0};
-  static inline std::atomic<bool> g_log_decisions{false};
 
   std::array<Slot, kRingCapacity> ring_;
   std::atomic<uint64_t> head_{0};  ///< Producer claim cursor.
@@ -302,8 +291,6 @@ class DiscardSink : public AuditSink {
 
 struct AuditLogOptions {
   std::vector<std::unique_ptr<AuditSink>> sinks;
-  uint64_t slow_query_threshold_ns = 0;
-  bool log_sampled_decisions = false;
 };
 
 class AuditLog {
@@ -311,8 +298,6 @@ class AuditLog {
   static constexpr size_t kRingCapacity = 1024;
   static AuditLog& Global();
   static constexpr bool Enabled() { return false; }
-  static constexpr uint64_t slow_query_threshold_ns() { return 0; }
-  static constexpr bool log_sampled_decisions() { return false; }
   bool Start(AuditLogOptions) { return false; }
   void Stop() {}
   bool Emit(const AuditEvent&) { return false; }

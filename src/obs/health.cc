@@ -186,44 +186,6 @@ HealthVerdict HealthEngine::Evaluate() {
   return verdict;
 }
 
-bool HealthEngine::Start(uint64_t interval_ms, std::string* error) {
-  if (running_.load(std::memory_order_relaxed)) {
-    if (error != nullptr) *error = "health engine already running";
-    return false;
-  }
-  if (interval_ms == 0) {
-    if (error != nullptr) *error = "health interval must be non-zero";
-    return false;
-  }
-  running_.store(true, std::memory_order_relaxed);
-  thread_ = std::thread([this, interval_ms] { Loop(interval_ms); });
-  return true;
-}
-
-void HealthEngine::Stop() {
-  if (!running_.exchange(false, std::memory_order_relaxed)) return;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void HealthEngine::Loop(uint64_t interval_ms) {
-  // Evaluation allocates (verdict vectors, reasons) by design; keep it
-  // off the hot path's 0-alloc budget like the sampler thread.
-  ScopedAllocExclusion alloc_exclusion;
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  while (running_.load(std::memory_order_relaxed)) {
-    lock.unlock();
-    Evaluate();
-    lock.lock();
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms), [this] {
-      return !running_.load(std::memory_order_relaxed);
-    });
-  }
-}
-
 #else  // !UCR_METRICS_ENABLED
 
 HealthRuleResult HealthEngine::EvaluateRule(const HealthRule& rule) const {
@@ -233,17 +195,6 @@ HealthRuleResult HealthEngine::EvaluateRule(const HealthRule& rule) const {
 }
 
 HealthVerdict HealthEngine::Evaluate() { return HealthVerdict{}; }
-
-bool HealthEngine::Start(uint64_t, std::string* error) {
-  if (error != nullptr) {
-    *error = "instrumentation compiled out (UCR_METRICS=OFF)";
-  }
-  return false;
-}
-
-void HealthEngine::Stop() {}
-
-void HealthEngine::Loop(uint64_t) {}
 
 #endif  // UCR_METRICS_ENABLED
 

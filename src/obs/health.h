@@ -2,12 +2,10 @@
 #define UCR_OBS_HEALTH_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/timeseries.h"
@@ -71,12 +69,14 @@ struct HealthVerdict {
 /// rate, epoch publish-wait p99, and tracer slow-query rate.
 std::vector<HealthRule> DefaultHealthRules();
 
-/// \brief Periodic evaluator turning retained telemetry into a live
+/// \brief Evaluator turning retained telemetry into a live
 /// ok|degraded|failing verdict with per-rule reasons.
 ///
-/// Runs its own thread (default 1 s cadence) reading the
-/// `TimeSeriesSampler` rings lock-free; the verdict feeds `/healthz`
-/// (non-200 on failing), `/varz`, and `ucr_admin top`. Every verdict
+/// The global `TimeSeriesSampler` evaluates it at the end of every
+/// tick, right after publishing that tick's points — the only moment a
+/// rule's inputs change — so it needs no thread or cadence of its own.
+/// The verdict feeds `/healthz` (non-200 on failing), `/varz`, and
+/// `ucr_admin top`. Every verdict
 /// change increments `ucr_health_transitions_total`, updates the
 /// `ucr_health_status` gauge, and emits a `kHealthTransition` audit
 /// event naming the worst rule — health flaps end up in the same
@@ -94,17 +94,8 @@ class HealthEngine {
   void SetRules(std::vector<HealthRule> rules);
   std::vector<HealthRule> rules() const;
 
-  /// Starts the evaluation thread. False when already running or when
-  /// the instrumentation is compiled out.
-  bool Start(uint64_t interval_ms = 1000, std::string* error = nullptr);
-
-  /// Stops and joins. Idempotent. The last verdict is retained.
-  void Stop();
-
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
-  /// Evaluates every rule now (also what the thread does each period).
-  /// Updates the retained verdict and emits transition effects.
+  /// Evaluates every rule now (what each sampler tick does). Updates
+  /// the retained verdict and emits transition effects.
   HealthVerdict Evaluate();
 
   /// The most recent verdict (default-ok before any evaluation).
@@ -120,18 +111,13 @@ class HealthEngine {
   std::string RenderJson() const;
 
   /// Restores default rules and the ok verdict (tests). Must not run
-  /// concurrently with a started engine.
+  /// concurrently with a running sampler.
   void ResetForTesting();
 
  private:
-  void Loop(uint64_t interval_ms);
   HealthRuleResult EvaluateRule(const HealthRule& rule) const;
 
-  std::atomic<bool> running_{false};
   std::atomic<uint64_t> transitions_{0};
-  std::thread thread_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
 
   mutable std::mutex mu_;  ///< Guards rules_ and verdict_ (control path).
   bool rules_set_ = false;

@@ -199,14 +199,14 @@ std::string RenderStatz() {
   return out.str();
 }
 
-/// /healthz: JSON verdict once a health engine has evaluated (503 on
+/// /healthz: JSON verdict once the health engine has evaluated (503 on
 /// failing so probes and load balancers eject the instance); the
 /// legacy bare "ok" liveness reply before that, preserving existing
-/// scrapers on processes that never start the engine.
+/// scrapers on processes that never run the sampler.
 std::string RenderHealthz(std::string* content_type, int* http_status) {
   const HealthEngine& engine = HealthEngine::Global();
   const HealthVerdict verdict = engine.last_verdict();
-  if (!engine.running() && verdict.rules.empty()) {
+  if (verdict.rules.empty()) {
     *content_type = "text/plain; charset=utf-8";
     return "ok\n";
   }
@@ -235,8 +235,8 @@ std::string RenderTracez() {
         << ",\"subject\":" << m.subject << ",\"object\":" << m.object
         << ",\"right\":" << m.right
         << ",\"strategy_index\":" << static_cast<int>(m.strategy_index)
-        << ",\"fast_granted\":" << (m.fast_granted ? "true" : "false")
-        << ",\"oracle_granted\":" << (m.oracle_granted ? "true" : "false")
+        << ",\"fast_granted\":" << (m.fast.granted ? "true" : "false")
+        << ",\"oracle_granted\":" << (m.oracle.granted ? "true" : "false")
         << "}";
     first = false;
   }

@@ -1,8 +1,5 @@
 #include "obs/shadow.h"
 
-#include <sstream>
-#include <utility>
-
 #include "obs/audit_log.h"
 
 namespace ucr::obs {
@@ -40,58 +37,27 @@ void ShadowVerifier::RecordCheck() {
 #endif
 }
 
-void ShadowVerifier::RecordMismatch(Mismatch mismatch) {
-  mismatch.sequence = mismatches_.fetch_add(1, std::memory_order_relaxed);
+void ShadowVerifier::RecordMismatch(const Mismatch& mismatch) {
+  ring_.Push(mismatch);
 #if UCR_METRICS_ENABLED
   GetShadowMetrics().mismatches.Inc();
   if (AuditLog::Enabled()) {
     AuditEvent event;
     event.type = AuditEventType::kShadowMismatch;
-    event.has_ids = true;
-    event.subject = mismatch.subject;
-    event.object = mismatch.object;
-    event.right = mismatch.right;
-    event.has_strategy = true;
-    event.strategy_index = mismatch.strategy_index;
-    event.has_decision = true;
-    event.granted = mismatch.fast_granted;
-    std::ostringstream detail;
-    detail << "fast=" << (mismatch.fast_granted ? "+" : "-")
-           << " oracle=" << (mismatch.oracle_granted ? "+" : "-")
-           << " | fast: " << mismatch.fast_derivation
-           << " | oracle: " << mismatch.oracle_derivation;
-    event.SetDetail(detail.str());
+    static_cast<Fig4Derivation&>(event.record) = mismatch.fast;
+    event.record.subject = mismatch.subject;
+    event.record.object = mismatch.object;
+    event.record.right = mismatch.right;
+    event.record.strategy_index = mismatch.strategy_index;
+    event.oracle = mismatch.oracle;
     AuditLog::Global().Emit(event);
   }
 #endif
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kMismatchRingCapacity) {
-    ring_.push_back(std::move(mismatch));
-    next_ = ring_.size() % kMismatchRingCapacity;
-  } else {
-    ring_[next_] = std::move(mismatch);
-    next_ = (next_ + 1) % kMismatchRingCapacity;
-  }
-}
-
-std::vector<ShadowVerifier::Mismatch> ShadowVerifier::RecentMismatches()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Mismatch> out;
-  out.reserve(ring_.size());
-  const size_t start = ring_.size() < kMismatchRingCapacity ? 0 : next_;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
 }
 
 void ShadowVerifier::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
+  ring_.Clear();
   checks_.store(0, std::memory_order_relaxed);
-  mismatches_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ucr::obs

@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ucr::obs {
 
@@ -18,10 +17,10 @@ namespace ucr::obs {
 /// This class owns only the sampling decision, the counters, and the
 /// mismatch dump ring; the actual oracle re-resolution lives in
 /// core/resolve.cc (the obs layer cannot depend on core).
-/// Sampling mirrors `QueryTracer::ShouldSample`: a per-thread
-/// countdown against a constant-initialized interval, so the
-/// non-shadowed hot path pays a relaxed load, a TLS increment, and a
-/// compare. Shadowing is off by default (`interval() == 0`).
+/// Sampling is the tracer's `CountdownElapsed`: a per-thread countdown
+/// against a constant-initialized interval, so the non-shadowed hot
+/// path pays a relaxed load, a TLS increment, and a compare. Shadowing
+/// is off by default (`interval() == 0`).
 class ShadowVerifier {
  public:
   static constexpr size_t kMismatchRingCapacity = 16;
@@ -44,16 +43,8 @@ class ShadowVerifier {
   /// True when the calling thread's countdown elapses; consumes one
   /// tick per call. Constant `false` under `UCR_METRICS=OFF`.
   static bool ShouldShadow() {
-#if UCR_METRICS_ENABLED
-    const uint64_t interval = g_interval.load(std::memory_order_relaxed);
-    if (interval == 0) return false;
     thread_local uint64_t since_last = 0;
-    if (++since_last < interval) return false;
-    since_last = 0;
-    return true;
-#else
-    return false;
-#endif
+    return CountdownElapsed(g_interval, since_last);
   }
 
   /// Test hook: the core-side oracle inverts its decision when set,
@@ -65,35 +56,33 @@ class ShadowVerifier {
     return g_perturb.load(std::memory_order_relaxed);
   }
 
-  /// One detected divergence, with both Fig. 4 derivations rendered.
+  /// One detected divergence, with both Fig. 4 derivations.
   struct Mismatch {
     uint64_t sequence = 0;  ///< Mismatch ordinal (assigned on record).
     uint32_t subject = 0;
     uint16_t object = 0;
     uint16_t right = 0;
     uint8_t strategy_index = 0;
-    bool fast_granted = false;
-    bool oracle_granted = false;
-    std::string fast_derivation;
-    std::string oracle_derivation;
+    Fig4Derivation fast;
+    Fig4Derivation oracle;
   };
 
   /// Counts one completed shadow comparison.
   void RecordCheck();
 
   /// Counts and retains a divergence; emits a kShadowMismatch audit
-  /// event carrying both derivations. Cold path; allocates.
-  void RecordMismatch(Mismatch mismatch);
+  /// event carrying both derivations. Allocation-free.
+  void RecordMismatch(const Mismatch& mismatch);
 
   /// Retained mismatches, oldest first. Cold path; allocates.
-  std::vector<Mismatch> RecentMismatches() const;
+  std::vector<Mismatch> RecentMismatches() const {
+    return ring_.Snapshot();
+  }
 
   uint64_t checks_total() const {
     return checks_.load(std::memory_order_relaxed);
   }
-  uint64_t mismatch_total() const {
-    return mismatches_.load(std::memory_order_relaxed);
-  }
+  uint64_t mismatch_total() const { return ring_.pushed_total(); }
 
   /// Drops retained mismatches and resets the totals (tests).
   void Clear();
@@ -103,10 +92,7 @@ class ShadowVerifier {
   static inline std::atomic<bool> g_perturb{false};
 
   std::atomic<uint64_t> checks_{0};
-  std::atomic<uint64_t> mismatches_{0};
-  mutable std::mutex mu_;
-  std::vector<Mismatch> ring_;  ///< Bounded by kMismatchRingCapacity.
-  size_t next_ = 0;             ///< Ring write position.
+  RetainedRing<Mismatch, kMismatchRingCapacity> ring_;
 };
 
 }  // namespace ucr::obs

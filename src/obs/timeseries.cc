@@ -4,6 +4,8 @@
 #include <chrono>
 #include <sstream>
 
+#include "obs/health.h"
+
 namespace ucr::obs {
 
 TimeSeriesSampler& TimeSeriesSampler::Global() {
@@ -243,6 +245,9 @@ void TimeSeriesSampler::Tick() {
   sm.series.Set(
       static_cast<int64_t>(series_count_.load(std::memory_order_relaxed)));
   sm.scrape_ns.Observe(NowNs() - t0);
+  // The rules read the points just published: evaluate health on this
+  // tick. Only the global sampler feeds the global engine.
+  if (this == &Global()) HealthEngine::Global().Evaluate();
 }
 
 const TimeSeriesSampler::Series* TimeSeriesSampler::FindSeries(

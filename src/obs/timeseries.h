@@ -32,7 +32,8 @@ namespace ucr::obs {
 /// instantaneous value, and histograms get bucket-delta p50/p99 — the
 /// quantiles of what happened *during* the interval, not since process
 /// start, which is what the health engine and the `/timeseries` +
-/// `/statz` endpoints need to spot a live regression.
+/// `/statz` endpoints need to spot a live regression. Each tick of the
+/// global sampler ends by evaluating `HealthEngine::Global()`.
 ///
 /// The rings are lock-light by construction: every point field is a
 /// relaxed atomic and the per-ring cursor is released after the point
@@ -96,8 +97,9 @@ class TimeSeriesSampler {
 
   const Options& options() const { return options_; }
 
-  /// Runs one synchronous scrape tick on the calling thread (tests and
-  /// single-shot tools; do not mix with a running background thread).
+  /// Runs one synchronous scrape tick (health evaluation included) on
+  /// the calling thread (tests and single-shot tools; do not mix with a
+  /// running background thread).
   void TickOnceForTesting() { Tick(); }
 
   /// Applies `options` without starting the background thread, so

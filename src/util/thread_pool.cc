@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -156,6 +158,14 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
 }
 
 size_t ThreadPool::DefaultThreadCount() {
+  // The CPUs this thread may run on: a process pinned with taskset (or
+  // a container's cpuset) gets fewer than the machine has.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (::sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    const int usable = CPU_COUNT(&cpus);
+    if (usable > 0) return static_cast<size_t>(usable);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }

@@ -70,7 +70,9 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
 
-  /// `hardware_concurrency` with a floor of 1 (the standard permits 0).
+  /// CPUs in the calling thread's affinity mask (`sched_getaffinity`);
+  /// `hardware_concurrency` if that fails, with a floor of 1 (the
+  /// standard permits 0).
   static size_t DefaultThreadCount();
 
   /// Caps a requested executor count at the hardware concurrency:

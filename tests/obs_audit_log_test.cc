@@ -29,12 +29,10 @@ namespace {
 AuditEvent MakeDecisionEvent(uint32_t subject) {
   AuditEvent event;
   event.type = AuditEventType::kAccessDecision;
-  event.has_ids = true;
-  event.has_decision = true;
-  event.subject = subject;
-  event.object = 2;
-  event.right = 3;
-  event.granted = true;
+  event.record.subject = subject;
+  event.record.object = 2;
+  event.record.right = 3;
+  event.record.granted = true;
   return event;
 }
 
@@ -211,8 +209,6 @@ TEST(ObsAuditLogTest, EmitWhileStoppedIsRejected) {
 TEST(ObsAuditLogTest, IdempotentRegrantEmitsNoAuditEvent) {
   std::vector<std::string> lines;
   AuditLogOptions options;
-  options.log_sampled_decisions = false;
-  options.slow_query_threshold_ns = 0;
   options.sinks.push_back(std::make_unique<VectorSink>(&lines));
   ASSERT_TRUE(AuditLog::Global().Start(std::move(options)));
 

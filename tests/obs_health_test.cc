@@ -26,12 +26,10 @@ namespace {
 
 #if !UCR_METRICS_ENABLED
 
-TEST(ObsHealthTest, DisabledBuildRefusesToStart) {
-  HealthEngine engine;
-  std::string error;
-  EXPECT_FALSE(engine.Start(/*interval_ms=*/10, &error));
-  EXPECT_NE(error.find("UCR_METRICS=OFF"), std::string::npos) << error;
-  EXPECT_EQ(engine.Evaluate().status, HealthStatus::kOk);
+TEST(ObsHealthTest, DisabledBuildStaysOkWithoutAVerdict) {
+  TimeSeriesSampler::Global().TickOnceForTesting();
+  EXPECT_EQ(HealthEngine::Global().Evaluate().status, HealthStatus::kOk);
+  EXPECT_TRUE(HealthEngine::Global().last_verdict().rules.empty());
 }
 
 #else
@@ -162,15 +160,44 @@ TEST_F(ObsHealthTest, TransitionsEmitAuditEventsAndRecover) {
   EXPECT_TRUE(failing_named_rule);
 }
 
-TEST_F(ObsHealthTest, BackgroundThreadEvaluatesAndStops) {
-  std::string error;
-  ASSERT_TRUE(HealthEngine::Global().Start(/*interval_ms=*/5, &error))
-      << error;
-  EXPECT_FALSE(HealthEngine::Global().Start(/*interval_ms=*/5, &error));
-  EXPECT_TRUE(HealthEngine::Global().running());
-  HealthEngine::Global().Stop();
-  HealthEngine::Global().Stop();  // Idempotent.
-  EXPECT_FALSE(HealthEngine::Global().running());
+// The global sampler evaluates health at the end of every tick, so the
+// verdict is always the one for the newest points, and a rule that
+// crosses its threshold on a tick emits exactly one transition event.
+TEST_F(ObsHealthTest, SamplerTickEvaluatesHealth) {
+  Counter& mismatches = Registry::Global().GetCounter(
+      "ucr_shadow_mismatch_total", "");
+  std::vector<std::string> lines;
+  AuditLogOptions options;
+  options.sinks.push_back(std::make_unique<VectorSink>(&lines));
+  ASSERT_TRUE(AuditLog::Global().Start(std::move(options)));
+
+  TimeSeriesSampler& sampler = TimeSeriesSampler::Global();
+  sampler.TickOnceForTesting();  // Prime.
+  sampler.TickOnceForTesting();
+  HealthVerdict verdict = HealthEngine::Global().last_verdict();
+  EXPECT_EQ(verdict.sampler_tick, sampler.ticks_total());
+  EXPECT_EQ(verdict.status, HealthStatus::kOk);
+  EXPECT_EQ(verdict.rules.size(), DefaultHealthRules().size());
+
+  mismatches.Inc();
+  sampler.TickOnceForTesting();
+  verdict = HealthEngine::Global().last_verdict();
+  EXPECT_EQ(verdict.sampler_tick, sampler.ticks_total());
+  EXPECT_EQ(verdict.status, HealthStatus::kFailing);
+
+  AuditLog::Global().Flush();
+  AuditLog::Global().Stop();
+  size_t transitions_logged = 0;
+  for (const std::string& line : lines) {
+    if (line.find("\"type\":\"health_transition\"") == std::string::npos) {
+      continue;
+    }
+    ++transitions_logged;
+    EXPECT_NE(line.find("ok -> failing: shadow_mismatch_rate"),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(transitions_logged, 1u);
 }
 
 // Acceptance: a perturbed shadow oracle produces genuine divergences on
@@ -227,8 +254,8 @@ TEST_F(ObsHealthTest, PerturbedOracleDrivesHealthzTo503) {
 }
 
 TEST_F(ObsHealthTest, HealthzStaysLegacyOkBeforeFirstEvaluation) {
-  // With no engine running and no verdict computed, /healthz keeps its
-  // pre-PR-8 plain-text contract.
+  // Until a sampler tick (or a direct evaluation) produces a verdict,
+  // /healthz keeps its plain-text liveness contract.
   std::string body;
   std::string content_type;
   int http_status = 0;

@@ -19,6 +19,7 @@
 #include "core/strategy.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "paper/paper_example.h"
 
 namespace ucr::obs {
@@ -134,14 +135,14 @@ TEST(ObsShadowTest, PerturbedOracleProvesDivergenceIsCaught) {
     EXPECT_EQ(m.object, f.ex.obj);
     EXPECT_EQ(m.right, f.ex.read);
     EXPECT_EQ(m.strategy_index, strategy.Canonical().CanonicalIndex());
-    EXPECT_EQ(m.fast_granted, fast_mode == acm::Mode::kPositive);
-    EXPECT_NE(m.fast_granted, m.oracle_granted);
-    // Both derivations are rendered so the dump alone explains the
+    EXPECT_EQ(m.fast.granted, fast_mode == acm::Mode::kPositive);
+    EXPECT_NE(m.fast.granted, m.oracle.granted);
+    // Both derivations are retained so the dump alone explains the
     // divergence (compact Fig. 4 form: counters, Auth set, line).
-    EXPECT_NE(m.fast_derivation.find("line="), std::string::npos)
-        << m.fast_derivation;
-    EXPECT_NE(m.oracle_derivation.find("line="), std::string::npos)
-        << m.oracle_derivation;
+    const std::string fast = FormatFig4Compact(m.fast);
+    const std::string oracle = FormatFig4Compact(m.oracle);
+    EXPECT_NE(fast.find("line="), std::string::npos) << fast;
+    EXPECT_NE(oracle.find("line="), std::string::npos) << oracle;
   }
 }
 
@@ -157,8 +158,6 @@ TEST(ObsShadowTest, MismatchEmitsAuditEventWithBothDerivations) {
     std::vector<std::string>* out_;
   };
   AuditLogOptions options;
-  options.log_sampled_decisions = false;
-  options.slow_query_threshold_ns = 0;
   options.sinks.push_back(std::make_unique<VectorSink>(&lines));
   ASSERT_TRUE(AuditLog::Global().Start(std::move(options)));
 
@@ -187,7 +186,7 @@ TEST(ObsShadowTest, MismatchRingIsBounded) {
   for (uint64_t i = 0; i < 3 * ShadowVerifier::kMismatchRingCapacity; ++i) {
     ShadowVerifier::Mismatch m;
     m.subject = static_cast<uint32_t>(i);
-    ShadowVerifier::Global().RecordMismatch(std::move(m));
+    ShadowVerifier::Global().RecordMismatch(m);
   }
   const auto dump = ShadowVerifier::Global().RecentMismatches();
   EXPECT_EQ(dump.size(), ShadowVerifier::kMismatchRingCapacity);

@@ -8,8 +8,9 @@ FIRST stdout line (flushed before the banner); this test builds a demo
 store, starts the server on port 0, parses that line, and exercises the
 HTTP surface:
 
-  /healthz     -> 200; serve runs the health engine, so the body is
-                  the JSON verdict (status "ok" on a healthy server)
+  /healthz     -> 200; serve's sampler evaluates the health rules on
+                  every tick, so the body is the JSON verdict (status
+                  "ok" on a healthy server)
   /varz        -> 200, JSON carrying the "epoch" object (current
                   epoch, reader pins, publication lag) because serve
                   enables snapshot reads before starting the exporter

@@ -1,11 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace ucr {
@@ -112,6 +115,28 @@ TEST(ThreadPoolTest, BackToBackSmallLoopsVisitOnceAndWakeEveryWorker) {
 
 TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
+}
+
+// A thread pinned to one CPU may only use that CPU: the count follows
+// the affinity mask, not the machine's CPU total.
+TEST(ThreadPoolTest, DefaultThreadCountHonorsCpuAffinity) {
+  size_t pinned_count = 0;
+  int rc = -1;
+  std::thread helper([&] {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+    size_t cpu = 0;
+    while (cpu + 1 < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    rc = ::pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    pinned_count = ThreadPool::DefaultThreadCount();
+  });
+  helper.join();
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(pinned_count, 1u);
 }
 
 // -- Observability accessors (DESIGN.md §8): lock-free reads. --------
